@@ -153,10 +153,11 @@ pub struct KernelScenarioResult {
     pub energy: f64,
     /// Energy-delay product, J·s.
     pub edp: f64,
-    /// Component-level energy breakdown.
-    pub power: PowerReport,
-    /// Raw system activity.
-    pub activity: SimReport,
+    /// Component-level energy breakdown, shared with the stage cache.
+    pub power: Arc<PowerReport>,
+    /// Raw system activity, shared with the stage cache and with every
+    /// result of the same simulation.
+    pub activity: Arc<SimReport>,
 }
 
 /// Silicon-area accounting for one scenario (the paper's Fig. 10 output:
@@ -391,9 +392,13 @@ impl MagpieFlow {
         self.run_with(&ParallelConfig::from_env())
     }
 
-    /// [`run`](Self::run) with an explicit thread policy: scenarios are
-    /// prepared in parallel, then every (scenario, kernel) simulation fans
-    /// out as its own task; results are reduced in scenario-major order.
+    /// [`run`](Self::run) with an explicit thread policy. Scenarios are
+    /// prepared in parallel. Then every (scenario, kernel) pair's
+    /// simulate-stage key is looked up, and the misses are simulated one
+    /// task per kernel: a single [`System::run_group`] pass covers all of a
+    /// kernel's missing scenarios, which share the kernel's access streams
+    /// and L1 filtering. Each report is stored under its own pair's key, and
+    /// results are reduced in scenario-major order.
     ///
     /// # Errors
     ///
@@ -403,32 +408,81 @@ impl MagpieFlow {
         let mcpat_cfg = McpatConfig::default();
         let prepare_span = mss_obs::span("flow.prepare");
         // Stage 1: per-scenario estimation (NVSim/McPAT) and platform build.
+        let (areas, systems) = self.prepare(exec)?;
+        drop(prepare_span);
+        let simulate_span = mss_obs::span("flow.simulate");
+
+        // Stage 2: scenario-major pairs, so the report order matches the
+        // sequential flow.
+        let pairs = self.pairs();
+        let keys: Vec<String> = pairs
+            .iter()
+            .map(|&(s, k)| self.pair_sim_key(&systems, s, k))
+            .collect();
+        let activities =
+            self.cache
+                .get_or_compute_artifacts(Stage::SimulateKernel, &keys, |missing| {
+                    // The missing pairs of each kernel, kernels in order of
+                    // first appearance.
+                    let mut by_kernel: Vec<(usize, Vec<usize>)> = Vec::new();
+                    for (m, &i) in missing.iter().enumerate() {
+                        let k = pairs[i].1;
+                        match by_kernel.iter_mut().find(|(kk, _)| *kk == k) {
+                            Some((_, ms)) => ms.push(m),
+                            None => by_kernel.push((k, vec![m])),
+                        }
+                    }
+                    let ran = par_map(exec, &by_kernel, |_, (k, ms)| {
+                        let group: Vec<&System> =
+                            ms.iter().map(|&m| &systems[pairs[missing[m]].0]).collect();
+                        System::run_group(
+                            &group,
+                            &self.inputs.kernels[*k],
+                            self.inputs.seed,
+                            &Placement::AllClusters,
+                            None,
+                        )
+                    });
+                    let mut reports: Vec<Option<SimReport>> = vec![None; missing.len()];
+                    for ((_, ms), ran) in by_kernel.iter().zip(ran) {
+                        for (&m, report) in ms.iter().zip(ran?) {
+                            reports[m] = Some(report);
+                        }
+                    }
+                    Ok::<_, MagpieError>(
+                        reports
+                            .into_iter()
+                            .map(|r| r.expect("every missing pair was simulated"))
+                            .collect(),
+                    )
+                })?;
+        let evaluated = par_map(exec, &pairs, |i, &(s, k)| {
+            self.account_pair(&mcpat_cfg, s, k, &keys[i], &activities[i])
+        });
+        let results = evaluated.into_iter().collect::<Result<Vec<_>, _>>()?;
+        drop(simulate_span);
+        Ok(MagpieReport { results, areas })
+    }
+
+    /// Estimates every scenario's arrays and builds its platform, in
+    /// scenario order.
+    fn prepare(
+        &self,
+        exec: &ParallelConfig,
+    ) -> Result<(Vec<ScenarioArea>, Vec<System>), MagpieError> {
         let prepared = par_map(exec, &self.inputs.scenarios, |_, &scenario| {
             let area = self.scenario_area(scenario)?;
             let system = System::new(self.system_config(scenario)?)?;
             Ok::<_, MagpieError>((area, system))
         });
-        let mut areas = Vec::new();
-        let mut systems = Vec::new();
-        for item in prepared {
-            let (area, system) = item?;
-            areas.push(area);
-            systems.push(system);
-        }
-        drop(prepare_span);
-        let simulate_span = mss_obs::span("flow.simulate");
+        prepared.into_iter().collect()
+    }
 
-        // Stage 2: one task per (scenario, kernel) pair, scenario-major so
-        // the report order matches the sequential flow.
-        let pairs: Vec<(usize, usize)> = (0..self.inputs.scenarios.len())
+    /// Every (scenario, kernel) index pair, scenario-major.
+    fn pairs(&self) -> Vec<(usize, usize)> {
+        (0..self.inputs.scenarios.len())
             .flat_map(|s| (0..self.inputs.kernels.len()).map(move |k| (s, k)))
-            .collect();
-        let evaluated = par_map(exec, &pairs, |_, &(s, k)| {
-            self.evaluate_pair(&systems, &mcpat_cfg, s, k, None)
-        });
-        let results = evaluated.into_iter().collect::<Result<Vec<_>, _>>()?;
-        drop(simulate_span);
-        Ok(MagpieReport { results, areas })
+            .collect()
     }
 
     /// [`run_with`](Self::run_with) under the sweep supervisor: each
@@ -484,24 +538,11 @@ impl MagpieFlow {
         let _flow_span = mss_obs::span("flow.run");
         let mcpat_cfg = McpatConfig::default();
         let prepare_span = mss_obs::span("flow.prepare");
-        let prepared = par_map(exec, &self.inputs.scenarios, |_, &scenario| {
-            let area = self.scenario_area(scenario)?;
-            let system = System::new(self.system_config(scenario)?)?;
-            Ok::<_, MagpieError>((area, system))
-        });
-        let mut areas = Vec::new();
-        let mut systems = Vec::new();
-        for item in prepared {
-            let (area, system) = item?;
-            areas.push(area);
-            systems.push(system);
-        }
+        let (areas, systems) = self.prepare(exec)?;
         drop(prepare_span);
         let simulate_span = mss_obs::span("flow.simulate");
 
-        let pairs: Vec<(usize, usize)> = (0..self.inputs.scenarios.len())
-            .flat_map(|s| (0..self.inputs.kernels.len()).map(move |k| (s, k)))
-            .collect();
+        let pairs = self.pairs();
         let journal = journal.map(Mutex::new);
         let sup = if sup.label.is_empty() {
             sup.with_label("flow.sweep")
@@ -509,7 +550,7 @@ impl MagpieFlow {
             *sup
         };
         let sweep = mss_exec::supervised_map(exec, &sup, &pairs, |ctx, &(s, k)| {
-            let result = self.evaluate_pair(&systems, &mcpat_cfg, s, k, Some(ctx.token()))?;
+            let result = self.evaluate_pair(&systems, &mcpat_cfg, s, k, ctx.token())?;
             if let Some(journal) = &journal {
                 // Journal appends are best-effort: losing a checkpoint line
                 // costs a future resume one cheap disk-cache hit, which is
@@ -596,17 +637,16 @@ impl MagpieFlow {
     }
 
     /// Evaluates one (scenario, kernel) pair through the cached simulate and
-    /// account stages, optionally honouring a cancellation token at the
-    /// simulator's chunk boundaries.
+    /// account stages, honouring a cancellation token at the simulator's
+    /// chunk boundaries (a group of one).
     fn evaluate_pair(
         &self,
         systems: &[System],
         mcpat_cfg: &McpatConfig,
         s: usize,
         k: usize,
-        token: Option<&CancelToken>,
+        token: &CancelToken,
     ) -> Result<KernelScenarioResult, MagpieError> {
-        let scenario = self.inputs.scenarios[s];
         let kernel = &self.inputs.kernels[k];
         let sim_key = self.pair_sim_key(systems, s, k);
         // SimReport is a disk-capable artifact, so completed simulations
@@ -615,30 +655,36 @@ impl MagpieFlow {
         let activity =
             self.cache
                 .get_or_compute_artifact(Stage::SimulateKernel, &sim_key, || {
-                    match token {
-                        Some(token) => systems[s].run_cancellable(
-                            kernel,
-                            self.inputs.seed,
-                            &Placement::AllClusters,
-                            token,
-                        ),
-                        None => systems[s].run(kernel, self.inputs.seed),
-                    }
-                    .map_err(MagpieError::from)
+                    systems[s]
+                        .run_cancellable(kernel, self.inputs.seed, &Placement::AllClusters, token)
+                        .map_err(MagpieError::from)
                 })?;
+        self.account_pair(mcpat_cfg, s, k, &sim_key, &activity)
+    }
+
+    /// The account stage of one pair: McPAT power over its simulated
+    /// activity, cached under the simulate key and the pair's label.
+    fn account_pair(
+        &self,
+        mcpat_cfg: &McpatConfig,
+        s: usize,
+        k: usize,
+        sim_key: &str,
+        activity: &Arc<SimReport>,
+    ) -> Result<KernelScenarioResult, MagpieError> {
+        let scenario = self.inputs.scenarios[s];
+        let kernel = &self.inputs.kernels[k];
         let label = format!("{} / {}", kernel.name, scenario);
         // The label is part of the key: a shared activity report must not
         // leak another scenario's label into this one's power report.
-        let power_key = digest_of(&(sim_key.as_str(), mcpat_cfg, label.as_str()));
+        let power_key = digest_of(&(sim_key, mcpat_cfg, label.as_str()));
         let power = self
             .cache
             .get_or_compute(Stage::McpatAccount, &power_key, || {
-                let mut power = mcpat_evaluate(mcpat_cfg, &activity);
+                let mut power = mcpat_evaluate(mcpat_cfg, activity);
                 power.label = label.clone();
                 Ok::<_, MagpieError>(power)
             })?;
-        let power = (*power).clone();
-        let activity = (*activity).clone();
         Ok(KernelScenarioResult {
             scenario,
             kernel: kernel.name.clone(),
@@ -646,7 +692,7 @@ impl MagpieFlow {
             energy: power.total_energy(),
             edp: power.edp(),
             power,
-            activity,
+            activity: Arc::clone(activity),
         })
     }
 }
@@ -1298,7 +1344,7 @@ mod tests {
             .iter_mut()
             .find(|r| r.kernel == "bodytrack" && r.scenario != Scenario::FullSram)
             .unwrap();
-        let dropped = victim.power.components.remove(0).name;
+        let dropped = Arc::make_mut(&mut victim.power).components.remove(0).name;
         let table = report.fig11_table("bodytrack");
         let row = table
             .lines()

@@ -15,6 +15,8 @@
 //! gate, which times [`run_placed`] against the production loop. Keep this
 //! module naive: do not optimize it.
 
+use std::sync::Arc;
+
 use crate::cache::{AccessOutcome, CacheConfig, CacheStats, PrefetchOutcome};
 use crate::dram::DramSim;
 use crate::faultmem::FaultMemory;
@@ -337,12 +339,12 @@ pub fn run_placed(
             }
             caches_out.push(CacheActivity {
                 name: cluster.l1d.name.clone(),
-                config: cluster.l1d.clone(),
+                config: Arc::new(cluster.l1d.clone()),
                 stats: CacheStats::default(),
             });
             caches_out.push(CacheActivity {
                 name: cluster.l2.name.clone(),
-                config: cluster.l2.clone(),
+                config: Arc::new(cluster.l2.clone()),
                 stats: CacheStats::default(),
             });
             continue;
@@ -457,12 +459,12 @@ pub fn run_placed(
         }
         caches_out.push(CacheActivity {
             name: cluster.l1d.name.clone(),
-            config: cluster.l1d.clone(),
+            config: Arc::new(cluster.l1d.clone()),
             stats: scale_stats(&l1_total, scale),
         });
         caches_out.push(CacheActivity {
             name: cluster.l2.name.clone(),
-            config: cluster.l2.clone(),
+            config: Arc::new(cluster.l2.clone()),
             stats: scale_stats(l2.stats(), scale),
         });
         dram_reads_scaled += (dram_reads_sim as f64 * scale) as u64;

@@ -1,5 +1,7 @@
 //! The activity report consumed by the power/area layer.
 
+use std::sync::Arc;
+
 use crate::cache::{CacheConfig, CacheStats};
 use crate::core::CoreKind;
 use crate::faultmem::FaultMemStats;
@@ -10,8 +12,9 @@ use crate::faultmem::FaultMemStats;
 pub struct CacheActivity {
     /// Cache name ("big.L2", ...).
     pub name: String,
-    /// The configuration it ran with (carries per-access energies).
-    pub config: CacheConfig,
+    /// The configuration it ran with (carries per-access energies), shared
+    /// by every report of the platform.
+    pub config: Arc<CacheConfig>,
     /// Scaled activity counters.
     pub stats: CacheStats,
 }
@@ -77,6 +80,14 @@ impl SimReport {
             return 0.0;
         }
         self.total_instructions() as f64 / (self.runtime_seconds * frequency)
+    }
+}
+
+/// Compares a shared report, as the MAGPIE flow hands it out, with an
+/// owned one.
+impl PartialEq<SimReport> for Arc<SimReport> {
+    fn eq(&self, other: &SimReport) -> bool {
+        **self == *other
     }
 }
 
@@ -180,7 +191,7 @@ impl mss_pipe::Artifact for SimReport {
             let map = parse_object(lines.next()?)?;
             caches.push(CacheActivity {
                 name: map.get("name")?.clone(),
-                config: CacheConfig {
+                config: Arc::new(CacheConfig {
                     name: map.get("cfg_name")?.clone(),
                     capacity: get_u64(&map, "capacity")?,
                     associativity: u32::try_from(get_u64(&map, "associativity")?).ok()?,
@@ -190,7 +201,7 @@ impl mss_pipe::Artifact for SimReport {
                     read_energy: get_f64_bits(&map, "read_energy")?,
                     write_energy: get_f64_bits(&map, "write_energy")?,
                     leakage_power: get_f64_bits(&map, "leakage_power")?,
-                },
+                }),
                 stats: CacheStats {
                     reads: get_u64(&map, "reads")?,
                     writes: get_u64(&map, "writes")?,
@@ -294,7 +305,7 @@ mod tests {
             ],
             caches: vec![CacheActivity {
                 name: "big.L2".into(),
-                config: CacheConfig {
+                config: Arc::new(CacheConfig {
                     name: "L2 \"quoted\"".into(),
                     capacity: 1 << 20,
                     associativity: 8,
@@ -304,7 +315,7 @@ mod tests {
                     read_energy: 1.0e-11,
                     write_energy: 2.0e-11,
                     leakage_power: 0.003,
-                },
+                }),
                 stats: CacheStats {
                     reads: 1000,
                     writes: 200,

@@ -16,6 +16,14 @@
 //!   write is slow and partially exposed ([`FILL_WRITE_EXPOSURE`]),
 //! - dirty evictions from L1 write the L2 array too, mostly hidden behind
 //!   buffers ([`WRITEBACK_EXPOSURE`]).
+//!
+//! [`System::run_group`] simulates one kernel on several platforms in fused
+//! passes: platforms that differ only below the L1 share the stream
+//! synthesis and L1 filtering, and share an L2 back-end where their L2s
+//! behave identically. Every report equals the platform's own run bit for
+//! bit; the single-platform entry points are groups of one.
+
+use std::sync::Arc;
 
 use mss_exec::supervise::{CancelToken, PartialSweep, SupervisorConfig};
 use mss_exec::{par_map, ParallelConfig};
@@ -386,6 +394,9 @@ pub enum Placement {
 #[derive(Debug, Clone)]
 pub struct System {
     config: SystemConfig,
+    /// Each cluster's L1D and L2 configuration, shared by every report of
+    /// this platform.
+    cache_configs: Vec<(Arc<CacheConfig>, Arc<CacheConfig>)>,
 }
 
 impl System {
@@ -396,7 +407,15 @@ impl System {
     /// Propagates [`SystemConfig::validate`].
     pub fn new(config: SystemConfig) -> Result<Self, GemsimError> {
         config.validate()?;
-        Ok(Self { config })
+        let cache_configs = config
+            .clusters
+            .iter()
+            .map(|c| (Arc::new(c.l1d.clone()), Arc::new(c.l2.clone())))
+            .collect();
+        Ok(Self {
+            config,
+            cache_configs,
+        })
     }
 
     /// The platform configuration.
@@ -475,7 +494,7 @@ impl System {
         placement: &Placement,
         token: &CancelToken,
     ) -> Result<SimReport, GemsimError> {
-        self.run_inner(kernel, seed, placement, Some(token))
+        Self::run_group(&[self], kernel, seed, placement, Some(token)).map(one_report)
     }
 
     /// Runs one kernel with an explicit thread placement and reports system
@@ -492,372 +511,624 @@ impl System {
         seed: u64,
         placement: &Placement,
     ) -> Result<SimReport, GemsimError> {
-        self.run_inner(kernel, seed, placement, None)
+        Self::run_group(&[self], kernel, seed, placement, None).map(one_report)
     }
 
-    fn run_inner(
-        &self,
+    /// Runs one kernel on every platform of `systems` and returns one report
+    /// per platform, **in `systems` order**. Each report is bit-identical to
+    /// that platform's own [`System::run_placed`] (or
+    /// [`System::run_cancellable`] when `token` is set); grouping only
+    /// removes repeated work.
+    ///
+    /// Platforms whose clusters, core counts, core models, L1 geometry and
+    /// sampling cap match share one fused pass: every thread's access stream
+    /// is synthesized once and filtered once through its core's L1, and the
+    /// L1 misses and dirty victims are replayed into one L2/DRAM back-end
+    /// per distinct behavioural configuration. Platforms share a back-end
+    /// when the cluster's L2 geometry (capacity, associativity, line) and
+    /// the prefetch flag match — per cluster when `row_buffer` and `fault`
+    /// are both `None`, and across the whole platform otherwise, since the
+    /// row buffer and the fault array carry state from one cluster to the
+    /// next. Each platform still adds up its own stall time with its own
+    /// latencies, term by term in the order [`System::run_placed`] does. A
+    /// platform with [`SystemConfig::epoch_skip`] set never shares.
+    ///
+    /// # Errors
+    ///
+    /// [`GemsimError::InvalidWorkload`] for malformed kernels,
+    /// [`GemsimError::InvalidSystem`] when a pinned cluster name is missing
+    /// from any platform, and [`GemsimError::Cancelled`] when `token` trips.
+    pub fn run_group(
+        systems: &[&System],
         kernel: &Kernel,
         seed: u64,
         placement: &Placement,
         token: Option<&CancelToken>,
-    ) -> Result<SimReport, GemsimError> {
-        let _span = mss_obs::span("gemsim.run");
+    ) -> Result<Vec<SimReport>, GemsimError> {
         kernel.validate()?;
         if let Placement::Cluster(name) = placement {
-            if !self.config.clusters.iter().any(|c| &c.name == name) {
+            if systems
+                .iter()
+                .any(|s| !s.config.clusters.iter().any(|c| &c.name == name))
+            {
                 return Err(GemsimError::InvalidSystem {
                     reason: format!("no cluster named '{name}' to pin to"),
                 });
             }
         }
-        let cluster_active = |cluster: &ClusterConfig| match placement {
-            Placement::AllClusters => true,
-            Placement::Cluster(name) => &cluster.name == name,
-        };
-        let total_cores: u64 = self
-            .config
-            .clusters
+        // Fused passes in order of first appearance.
+        let mut passes: Vec<Vec<usize>> = Vec::new();
+        for (i, system) in systems.iter().enumerate() {
+            let lead = |pass: &&mut Vec<usize>| &systems[pass[0]].config;
+            match passes
+                .iter_mut()
+                .find(|p| shares_prefix(lead(p), &system.config, placement))
+            {
+                Some(pass) => pass.push(i),
+                None => passes.push(vec![i]),
+            }
+        }
+        let mut reports: Vec<Option<SimReport>> = vec![None; systems.len()];
+        for pass in &passes {
+            let members: Vec<&System> = pass.iter().map(|&i| systems[i]).collect();
+            let ran = run_pass(&members, kernel, seed, placement, token)?;
+            for (&i, report) in pass.iter().zip(ran) {
+                reports[i] = Some(report);
+            }
+        }
+        Ok(reports
+            .into_iter()
+            .map(|r| r.expect("every platform runs in exactly one pass"))
+            .collect())
+    }
+}
+
+/// The report of a group of one.
+fn one_report(mut reports: Vec<SimReport>) -> SimReport {
+    reports.pop().expect("a group of one yields one report")
+}
+
+/// Same clusters, core counts and models, L1 geometry, active set and
+/// sampling cap: the two platforms synthesize and L1-filter identical
+/// access streams. Epoch skip stops a thread at a point that depends on
+/// its own L2, so such platforms never share.
+fn shares_prefix(a: &SystemConfig, b: &SystemConfig, placement: &Placement) -> bool {
+    a.epoch_skip.is_none()
+        && b.epoch_skip.is_none()
+        && a.sample_accesses_per_thread == b.sample_accesses_per_thread
+        && a.clusters.len() == b.clusters.len()
+        && a.clusters.iter().zip(&b.clusters).all(|(x, y)| {
+            x.cores == y.cores
+                && x.core == y.core
+                && same_geometry(&x.l1d, &y.l1d)
+                && is_active(x, placement) == is_active(y, placement)
+        })
+}
+
+/// Same DRAM-side behaviour: equal row buffer, fault array and prefetch
+/// flag, and an equal L2 geometry in every cluster, so both platforms send
+/// DRAM the same transaction sequence.
+fn shares_memory(a: &SystemConfig, b: &SystemConfig) -> bool {
+    a.row_buffer == b.row_buffer
+        && a.fault == b.fault
+        && a.l2_next_line_prefetch == b.l2_next_line_prefetch
+        && a.clusters.len() == b.clusters.len()
+        && a.clusters
             .iter()
-            .filter(|c| cluster_active(c))
-            .map(|c| c.cores as u64)
-            .sum();
-        let threads = kernel.threads as u64;
-        // Thread t -> core (t mod cores). Work is balanced by compute
-        // throughput (frequency / CPI), modelling the work-stealing
-        // runtimes Parsec kernels use: every core finishes its compute
-        // share simultaneously, so memory stalls decide the critical path.
-        let total_weight: f64 = {
-            let mut w = 0.0;
-            let mut core_id = 0u64;
-            for cluster in &self.config.clusters {
-                if !cluster_active(cluster) {
-                    continue;
+            .zip(&b.clusters)
+            .all(|(x, y)| same_geometry(&x.l2, &y.l2))
+}
+
+/// Equal hit/miss behaviour: timing and energy never feed back into the
+/// replacement state.
+fn same_geometry(a: &CacheConfig, b: &CacheConfig) -> bool {
+    a.capacity == b.capacity && a.associativity == b.associativity && a.line_bytes == b.line_bytes
+}
+
+fn is_active(cluster: &ClusterConfig, placement: &Placement) -> bool {
+    match placement {
+        Placement::AllClusters => true,
+        Placement::Cluster(name) => &cluster.name == name,
+    }
+}
+
+/// One L1 miss as the L2 back-ends see it: the demand line, and the dirty
+/// victim it displaced, which is written into the L2 after the fetch.
+#[derive(Debug, Clone, Copy)]
+struct L1Miss {
+    address: u64,
+    dirty_victim: Option<u64>,
+}
+
+/// One platform's view of a back-end: its own stall terms, each computed
+/// exactly as the per-platform loop writes it, and the stall it has run up
+/// on the current core.
+#[derive(Debug, Clone, Copy)]
+struct Tap {
+    /// Index of the platform in its pass.
+    platform: usize,
+    /// L2 read-hit latency, charged on every L1 miss.
+    read: f64,
+    /// Flat DRAM latency plus the exposed fill write, on an L2 miss.
+    fill: f64,
+    /// Open-row DRAM latency plus the exposed fill write (row buffer only).
+    row_fill: f64,
+    /// Exposed share of an L1 victim's write into the L2.
+    writeback: f64,
+    stall: f64,
+}
+
+/// DRAM-side state that lives across clusters: the row buffer and the
+/// fault-aware array of one platform-wide back-end.
+struct MemSide {
+    dram: Option<DramSim>,
+    fault: Option<FaultMemory>,
+}
+
+/// One cluster's L2 plus the platforms whose L2 behaves identically.
+struct Backend {
+    l2: Cache,
+    prefetch: bool,
+    /// The platform-wide DRAM side, `None` for a per-cluster back-end.
+    mem: Option<usize>,
+    dram_reads: u64,
+    dram_writes: u64,
+    taps: Vec<Tap>,
+}
+
+impl Backend {
+    /// Replays one chunk's L1 misses, in order, through the L2, DRAM and
+    /// fault array, and charges every tap its stall.
+    fn replay(&mut self, misses: &[L1Miss], mems: &mut [MemSide]) {
+        let (mut dram, mut fault) = match self.mem {
+            Some(i) => (mems[i].dram.as_mut(), mems[i].fault.as_mut()),
+            None => (None, None),
+        };
+        let line_bytes = self.l2.config().line_bytes as u64;
+        for miss in misses {
+            // L1 miss: read the line from L2.
+            let l2_out = self.l2.access(miss.address, false);
+            let mut row_hit = false;
+            if !l2_out.hit {
+                // L2 miss: DRAM fetch + fill write into the L2 array.
+                self.dram_reads += 1;
+                if let Some(fm) = fault.as_deref_mut() {
+                    fm.read(miss.address / line_bytes);
                 }
-                for _ in 0..cluster.cores {
-                    let owned = (0..threads).filter(|t| t % total_cores == core_id).count();
-                    w += owned as f64 * cluster.core.frequency / cluster.core.base_cpi;
-                    core_id += 1;
+                if self.prefetch {
+                    // Pull the follower line in alongside; a line already
+                    // present is left untouched.
+                    let next = miss.address + line_bytes;
+                    let pf = self.l2.prefetch(next);
+                    if pf.allocated {
+                        self.dram_reads += 1;
+                        if let Some(fm) = fault.as_deref_mut() {
+                            fm.read(next / line_bytes);
+                        }
+                    }
+                    if pf.writeback {
+                        self.dram_writes += 1;
+                        if let Some(fm) = fault.as_deref_mut() {
+                            let v = pf.victim.expect("writeback implies victim");
+                            fm.write(v / line_bytes);
+                        }
+                    }
+                }
+                row_hit = dram.as_deref_mut().is_some_and(|d| d.access(miss.address));
+            }
+            if l2_out.writeback {
+                self.dram_writes += 1;
+                if let Some(fm) = fault.as_deref_mut() {
+                    // The line going to DRAM is the evicted victim, not the
+                    // line being fetched.
+                    let v = l2_out.victim.expect("writeback implies victim");
+                    fm.write(v / line_bytes);
                 }
             }
-            w
-        };
+            if let Some(victim) = miss.dirty_victim {
+                // Dirty L1 victim written into the L2 array at its real line
+                // address.
+                let wb = self.l2.access(victim, true);
+                if wb.writeback {
+                    self.dram_writes += 1;
+                    if let Some(fm) = fault.as_deref_mut() {
+                        let v = wb.victim.expect("writeback implies victim");
+                        fm.write(v / line_bytes);
+                    }
+                }
+            }
+            for tap in &mut self.taps {
+                tap.stall += tap.read;
+                if !l2_out.hit {
+                    tap.stall += if row_hit { tap.row_fill } else { tap.fill };
+                }
+                if miss.dirty_victim.is_some() {
+                    tap.stall += tap.writeback;
+                }
+            }
+        }
+    }
+}
 
-        let mut cores_out = Vec::new();
-        let mut caches_out = Vec::new();
-        let mut dram_reads_scaled = 0u64;
-        let mut dram_writes_scaled = 0u64;
-        let mut dram_row_hits_scaled = 0u64;
-        let mut dram = match &self.config.row_buffer {
-            Some(rb) => Some(DramSim::new(*rb)?),
-            None => None,
-        };
-        // The fault-aware array sees DRAM-level transactions at line
-        // granularity; it is rebuilt per run so identical seeds replay an
-        // identical fault history.
-        let mut fault_mem = match &self.config.fault {
-            Some(cfg) => Some(FaultMemory::new(*cfg)?),
-            None => None,
-        };
-        let mut runtime: f64 = 0.0;
+/// The report under construction for one platform of a pass.
+#[derive(Default)]
+struct PlatformOut {
+    cores: Vec<CoreActivity>,
+    caches: Vec<CacheActivity>,
+    dram_reads: u64,
+    dram_writes: u64,
+    dram_row_hits: u64,
+    runtime: f64,
+}
 
-        // One reusable synthesis buffer for the whole run: streams are
-        // drained in chunks (the epoch window when skipping is on) so the
-        // generator and the consuming loop each stay tight. Chunking does
-        // not reorder consumption, so default reports are bit-identical to
-        // the historic one-access-at-a-time loop.
-        let epoch = self.config.epoch_skip;
-        let chunk = epoch.map_or(DEFAULT_CHUNK, |es| es.window as usize);
-        let mut buf = vec![
-            MemoryAccess {
-                address: 0,
-                write: false
-            };
-            chunk
-        ];
-        let mut extrapolated_accesses = 0u64;
+/// One fused pass over platforms that all share the lead's prefix (see
+/// [`shares_prefix`]); reports come back in `platforms` order.
+fn run_pass(
+    systems: &[&System],
+    kernel: &Kernel,
+    seed: u64,
+    placement: &Placement,
+    token: Option<&CancelToken>,
+) -> Result<Vec<SimReport>, GemsimError> {
+    let _span = mss_obs::span("gemsim.run");
+    let platforms: Vec<&SystemConfig> = systems.iter().map(|s| &s.config).collect();
+    let lead = platforms[0];
+    let total_cores: u64 = lead
+        .clusters
+        .iter()
+        .filter(|c| is_active(c, placement))
+        .map(|c| c.cores as u64)
+        .sum();
+    let threads = kernel.threads as u64;
+    // Thread t -> core (t mod cores). Work is balanced by compute
+    // throughput (frequency / CPI), modelling the work-stealing runtimes
+    // Parsec kernels use: every core finishes its compute share
+    // simultaneously, so memory stalls decide the critical path.
+    let total_weight: f64 = {
+        let mut w = 0.0;
+        let mut core_id = 0u64;
+        for cluster in lead.clusters.iter().filter(|c| is_active(c, placement)) {
+            for _ in 0..cluster.cores {
+                let owned = (0..threads).filter(|t| t % total_cores == core_id).count();
+                w += owned as f64 * cluster.core.frequency / cluster.core.base_cpi;
+                core_id += 1;
+            }
+        }
+        w
+    };
 
-        let mut global_core_index = 0u32;
-        for cluster in &self.config.clusters {
-            if !cluster_active(cluster) {
-                // Idle cluster: cores retire nothing, caches see no traffic;
-                // their leakage is still accounted by the power layer.
-                for _ in 0..cluster.cores {
-                    cores_out.push(CoreActivity {
-                        kind: cluster.core.kind,
+    // Platform-wide DRAM sides, one per class of platforms that send DRAM
+    // the same transactions. They are rebuilt per pass so identical seeds
+    // replay an identical fault history.
+    let mut mems: Vec<MemSide> = Vec::new();
+    let mut mem_leads: Vec<usize> = Vec::new();
+    let mut mem_of: Vec<Option<usize>> = Vec::with_capacity(platforms.len());
+    for (p, cfg) in platforms.iter().enumerate() {
+        if cfg.row_buffer.is_none() && cfg.fault.is_none() {
+            mem_of.push(None);
+            continue;
+        }
+        let shared = mem_leads
+            .iter()
+            .position(|&q| shares_memory(platforms[q], cfg));
+        mem_of.push(Some(shared.unwrap_or(mems.len())));
+        if shared.is_none() {
+            mems.push(MemSide {
+                dram: cfg.row_buffer.map(DramSim::new).transpose()?,
+                fault: cfg.fault.map(FaultMemory::new).transpose()?,
+            });
+            mem_leads.push(p);
+        }
+    }
+
+    let mut outs: Vec<PlatformOut> = platforms.iter().map(|_| PlatformOut::default()).collect();
+    let mut backend_count = 0usize;
+
+    // Reusable buffers for the whole pass: streams are drained in chunks
+    // (the epoch window when skipping is on) so the generator, the L1 loop
+    // and each back-end's replay stay tight. Chunking does not reorder
+    // consumption, so reports are bit-identical to the historic
+    // one-access-at-a-time loop.
+    let epoch = lead.epoch_skip;
+    debug_assert!(
+        epoch.is_none() || platforms.len() == 1,
+        "epoch skip runs alone"
+    );
+    let chunk = epoch.map_or(DEFAULT_CHUNK, |es| es.window as usize);
+    let mut buf = vec![
+        MemoryAccess {
+            address: 0,
+            write: false
+        };
+        chunk
+    ];
+    let mut misses: Vec<L1Miss> = Vec::with_capacity(chunk);
+    let mut extrapolated_accesses = 0u64;
+
+    let mut global_core_index = 0u32;
+    for (ci, cluster) in lead.clusters.iter().enumerate() {
+        if !is_active(cluster, placement) {
+            // Idle cluster: cores retire nothing, caches see no traffic;
+            // their leakage is still accounted by the power layer.
+            for (system, out) in systems.iter().zip(&mut outs) {
+                let own = &system.config.clusters[ci];
+                for _ in 0..own.cores {
+                    out.cores.push(CoreActivity {
+                        kind: own.core.kind,
                         instructions: 0,
                         busy_seconds: 0.0,
                         ipc: 0.0,
                     });
                 }
-                caches_out.push(CacheActivity {
-                    name: cluster.l1d.name.clone(),
-                    config: cluster.l1d.clone(),
-                    stats: CacheStats::default(),
-                });
-                caches_out.push(CacheActivity {
-                    name: cluster.l2.name.clone(),
-                    config: cluster.l2.clone(),
-                    stats: CacheStats::default(),
-                });
-                continue;
+                let (l1d, l2) = &system.cache_configs[ci];
+                for cache in [l1d, l2] {
+                    out.caches.push(CacheActivity {
+                        name: cache.name.clone(),
+                        config: Arc::clone(cache),
+                        stats: CacheStats::default(),
+                    });
+                }
             }
-            let weight = cluster.core.frequency / cluster.core.base_cpi;
-            let instr_per_thread = (kernel.instructions as f64 * weight / total_weight) as u64;
-            let mem_per_thread = (instr_per_thread as f64 * kernel.memory_ratio) as u64;
-            let sim_per_thread = mem_per_thread.min(self.config.sample_accesses_per_thread);
-            let scale = if sim_per_thread == 0 {
-                1.0
-            } else {
-                mem_per_thread as f64 / sim_per_thread as f64
+            continue;
+        }
+        let weight = cluster.core.frequency / cluster.core.base_cpi;
+        let instr_per_thread = (kernel.instructions as f64 * weight / total_weight) as u64;
+        let mem_per_thread = (instr_per_thread as f64 * kernel.memory_ratio) as u64;
+        let sim_per_thread = mem_per_thread.min(lead.sample_accesses_per_thread);
+        let scale = if sim_per_thread == 0 {
+            1.0
+        } else {
+            mem_per_thread as f64 / sim_per_thread as f64
+        };
+
+        // This cluster's back-ends: one per distinct (L2 geometry,
+        // prefetch, DRAM side).
+        let mut backends: Vec<Backend> = Vec::new();
+        for (p, cfg) in platforms.iter().enumerate() {
+            let l2 = &cfg.clusters[ci].l2;
+            let tap = Tap {
+                platform: p,
+                read: l2.read_latency,
+                fill: cfg.dram_latency + FILL_WRITE_EXPOSURE * l2.write_latency,
+                row_fill: cfg.row_buffer.map_or(0.0, |rb| {
+                    rb.hit_latency + FILL_WRITE_EXPOSURE * l2.write_latency
+                }),
+                writeback: WRITEBACK_EXPOSURE * l2.write_latency,
+                stall: 0.0,
             };
-            let mut l2 = Cache::new(cluster.l2.clone())?;
-            let mut l1_total = CacheStats::default();
-            // Extrapolated tails (epoch skip only; all-zero otherwise).
-            let mut l1_extra = CacheStats::default();
-            let mut l2_extra = CacheStats::default();
-            let mut row_hits_extra = 0u64;
-            let mut dram_reads_sim = 0u64;
-            let mut dram_writes_sim = 0u64;
-            let line_bytes = cluster.l2.line_bytes as u64;
-            let row_hits_before_cluster = dram.as_ref().map_or(0, |d| d.hits());
-            for local_core in 0..cluster.cores {
-                let core_id = global_core_index + local_core;
-                // Threads owned by this core.
-                let owned: Vec<u64> = (0..threads)
-                    .filter(|t| t % total_cores == core_id as u64)
-                    .collect();
-                let mut l1 = Cache::new(cluster.l1d.clone())?;
-                let mut stall_seconds_sim = 0.0;
-                for &t in &owned {
-                    let mut stream = AccessStream::new(kernel, t as u32, seed);
-                    let mut done = 0u64;
-                    let mut prev_delta: Option<EpochSnap> = None;
-                    let mut streak = 0u32;
-                    while done < sim_per_thread {
-                        // Cancellation checkpoint: one poll per synthesis
-                        // chunk keeps the hot loop tight while bounding the
-                        // reaction latency to ~a thousand accesses.
-                        if token.is_some_and(|t| t.is_cancelled()) {
-                            return Err(GemsimError::Cancelled);
-                        }
-                        let n = chunk.min((sim_per_thread - done) as usize);
-                        stream.fill(&mut buf[..n]);
-                        let before = epoch.map(|_| EpochSnap {
-                            l1: *l1.stats(),
-                            l2: *l2.stats(),
-                            dram_reads: dram_reads_sim,
-                            dram_writes: dram_writes_sim,
-                            row_hits: dram.as_ref().map_or(0, |d| d.hits()),
-                            stall: stall_seconds_sim,
-                        });
-                        for acc in &buf[..n] {
-                            let l1_out = l1.access(acc.address, acc.write);
-                            if l1_out.hit {
-                                continue;
-                            }
-                            // L1 miss: read the line from L2.
-                            let l2_out = l2.access(acc.address, false);
-                            stall_seconds_sim += cluster.l2.read_latency;
-                            if !l2_out.hit {
-                                // L2 miss: DRAM fetch + fill write into the
-                                // L2 array.
-                                dram_reads_sim += 1;
-                                if let Some(fm) = fault_mem.as_mut() {
-                                    fm.read(acc.address / line_bytes);
-                                }
-                                if self.config.l2_next_line_prefetch {
-                                    // Pull the follower line in alongside; a
-                                    // line already present is left untouched.
-                                    let next = acc.address + line_bytes;
-                                    let pf = l2.prefetch(next);
-                                    if pf.allocated {
-                                        dram_reads_sim += 1;
-                                        if let Some(fm) = fault_mem.as_mut() {
-                                            fm.read(next / line_bytes);
-                                        }
-                                    }
-                                    if pf.writeback {
-                                        dram_writes_sim += 1;
-                                        if let Some(fm) = fault_mem.as_mut() {
-                                            let v = pf.victim.expect("writeback implies victim");
-                                            fm.write(v / line_bytes);
-                                        }
-                                    }
-                                }
-                                let dram_latency = if let Some(d) = dram.as_mut() {
-                                    if d.access(acc.address) {
-                                        d.config().hit_latency
-                                    } else {
-                                        self.config.dram_latency
-                                    }
-                                } else {
-                                    self.config.dram_latency
-                                };
-                                stall_seconds_sim +=
-                                    dram_latency + FILL_WRITE_EXPOSURE * cluster.l2.write_latency;
-                            }
-                            if l2_out.writeback {
-                                dram_writes_sim += 1;
-                                if let Some(fm) = fault_mem.as_mut() {
-                                    // The line going to DRAM is the evicted
-                                    // victim, not the line being fetched.
-                                    let v = l2_out.victim.expect("writeback implies victim");
-                                    fm.write(v / line_bytes);
-                                }
-                            }
-                            if l1_out.writeback {
-                                // Dirty L1 victim written into the L2 array
-                                // at its real line address.
-                                let victim = l1_out.victim.expect("writeback implies victim");
-                                let wb = l2.access(victim, true);
-                                stall_seconds_sim += WRITEBACK_EXPOSURE * cluster.l2.write_latency;
-                                if wb.writeback {
-                                    dram_writes_sim += 1;
-                                    if let Some(fm) = fault_mem.as_mut() {
-                                        let v = wb.victim.expect("writeback implies victim");
-                                        fm.write(v / line_bytes);
-                                    }
-                                }
-                            }
-                        }
-                        done += n as u64;
-                        let (Some(es), Some(before)) = (epoch, before) else {
-                            continue;
-                        };
-                        if n as u64 != es.window || done >= sim_per_thread {
-                            continue;
-                        }
-                        let after = EpochSnap {
-                            l1: *l1.stats(),
-                            l2: *l2.stats(),
-                            dram_reads: dram_reads_sim,
-                            dram_writes: dram_writes_sim,
-                            row_hits: dram.as_ref().map_or(0, |d| d.hits()),
-                            stall: stall_seconds_sim,
-                        };
-                        let delta = after.delta(&before);
-                        match prev_delta {
-                            Some(prev) if delta.matches(&prev, es.tolerance) => streak += 1,
-                            _ => streak = 0,
-                        }
-                        prev_delta = Some(delta);
-                        if streak >= es.converge_windows {
-                            // Steady state: charge the remaining tail at the
-                            // last window's rates and stop simulating this
-                            // thread.
-                            let remaining = sim_per_thread - done;
-                            let f = remaining as f64 / es.window as f64;
-                            add_scaled(&mut l1_extra, &delta.l1, f);
-                            add_scaled(&mut l2_extra, &delta.l2, f);
-                            dram_reads_sim += (delta.dram_reads as f64 * f).round() as u64;
-                            dram_writes_sim += (delta.dram_writes as f64 * f).round() as u64;
-                            row_hits_extra += (delta.row_hits as f64 * f).round() as u64;
-                            stall_seconds_sim += delta.stall * f;
-                            extrapolated_accesses += remaining;
-                            break;
+            match backends.iter_mut().find(|b| {
+                b.mem == mem_of[p]
+                    && b.prefetch == cfg.l2_next_line_prefetch
+                    && same_geometry(b.l2.config(), l2)
+            }) {
+                Some(b) => b.taps.push(tap),
+                None => backends.push(Backend {
+                    l2: Cache::new(l2.clone())?,
+                    prefetch: cfg.l2_next_line_prefetch,
+                    mem: mem_of[p],
+                    dram_reads: 0,
+                    dram_writes: 0,
+                    taps: vec![tap],
+                }),
+            }
+        }
+        backend_count += backends.len();
+        let row_hits_before: Vec<u64> = mems
+            .iter()
+            .map(|m| m.dram.as_ref().map_or(0, DramSim::hits))
+            .collect();
+        // Epoch skip runs a platform alone, so its counters are those of
+        // back-end 0.
+        let snap = |l1: &Cache, backends: &[Backend], mems: &[MemSide]| {
+            let b = &backends[0];
+            EpochSnap {
+                l1: *l1.stats(),
+                l2: *b.l2.stats(),
+                dram_reads: b.dram_reads,
+                dram_writes: b.dram_writes,
+                row_hits: b
+                    .mem
+                    .and_then(|i| mems[i].dram.as_ref())
+                    .map_or(0, DramSim::hits),
+                stall: b.taps[0].stall,
+            }
+        };
+        let mut l1_total = CacheStats::default();
+        // Extrapolated tails (epoch skip only; all-zero otherwise).
+        let mut l1_extra = CacheStats::default();
+        let mut l2_extra = CacheStats::default();
+        let mut row_hits_extra = 0u64;
+        for local_core in 0..cluster.cores {
+            let core_id = global_core_index + local_core;
+            // Threads owned by this core.
+            let owned: Vec<u64> = (0..threads)
+                .filter(|t| t % total_cores == core_id as u64)
+                .collect();
+            let mut l1 = Cache::new(cluster.l1d.clone())?;
+            for tap in backends.iter_mut().flat_map(|b| &mut b.taps) {
+                tap.stall = 0.0;
+            }
+            for &t in &owned {
+                let mut stream = AccessStream::new(kernel, t as u32, seed);
+                let mut done = 0u64;
+                let mut prev_delta: Option<EpochSnap> = None;
+                let mut streak = 0u32;
+                while done < sim_per_thread {
+                    // Cancellation checkpoint: one poll per synthesis chunk
+                    // keeps the hot loop tight while bounding the reaction
+                    // latency to ~a thousand accesses.
+                    if token.is_some_and(|t| t.is_cancelled()) {
+                        return Err(GemsimError::Cancelled);
+                    }
+                    let n = chunk.min((sim_per_thread - done) as usize);
+                    stream.fill(&mut buf[..n]);
+                    let before = epoch.map(|_| snap(&l1, &backends, &mems));
+                    misses.clear();
+                    for acc in &buf[..n] {
+                        let l1_out = l1.access(acc.address, acc.write);
+                        if !l1_out.hit {
+                            misses.push(L1Miss {
+                                address: acc.address,
+                                dirty_victim: l1_out.victim.filter(|_| l1_out.writeback),
+                            });
                         }
                     }
+                    for backend in &mut backends {
+                        backend.replay(&misses, &mut mems);
+                    }
+                    done += n as u64;
+                    let (Some(es), Some(before)) = (epoch, before) else {
+                        continue;
+                    };
+                    if n as u64 != es.window || done >= sim_per_thread {
+                        continue;
+                    }
+                    let delta = snap(&l1, &backends, &mems).delta(&before);
+                    match prev_delta {
+                        Some(prev) if delta.matches(&prev, es.tolerance) => streak += 1,
+                        _ => streak = 0,
+                    }
+                    prev_delta = Some(delta);
+                    if streak >= es.converge_windows {
+                        // Steady state: charge the remaining tail at the
+                        // last window's rates and stop simulating this
+                        // thread.
+                        let remaining = sim_per_thread - done;
+                        let f = remaining as f64 / es.window as f64;
+                        let b = &mut backends[0];
+                        add_scaled(&mut l1_extra, &delta.l1, f);
+                        add_scaled(&mut l2_extra, &delta.l2, f);
+                        b.dram_reads += (delta.dram_reads as f64 * f).round() as u64;
+                        b.dram_writes += (delta.dram_writes as f64 * f).round() as u64;
+                        row_hits_extra += (delta.row_hits as f64 * f).round() as u64;
+                        b.taps[0].stall += delta.stall * f;
+                        extrapolated_accesses += remaining;
+                        break;
+                    }
                 }
-                let instructions = instr_per_thread * owned.len() as u64;
-                let stall_cycles = cluster.core.cycles(stall_seconds_sim * scale);
-                let busy = cluster.core.execution_seconds(instructions, stall_cycles);
+            }
+            let instructions = instr_per_thread * owned.len() as u64;
+            for tap in backends.iter().flat_map(|b| &b.taps) {
+                let core = &platforms[tap.platform].clusters[ci].core;
+                let stall_cycles = core.cycles(tap.stall * scale);
+                let busy = core.execution_seconds(instructions, stall_cycles);
                 let ipc = if busy > 0.0 {
-                    instructions as f64 / (busy * cluster.core.frequency)
+                    instructions as f64 / (busy * core.frequency)
                 } else {
                     0.0
                 };
-                runtime = runtime.max(busy);
-                cores_out.push(CoreActivity {
-                    kind: cluster.core.kind,
+                let out = &mut outs[tap.platform];
+                out.runtime = out.runtime.max(busy);
+                out.cores.push(CoreActivity {
+                    kind: core.kind,
                     instructions,
                     busy_seconds: busy,
                     ipc,
                 });
-                l1_total.merge(l1.stats());
             }
-            l1_total.merge(&l1_extra);
-            let mut l2_stats = *l2.stats();
+            l1_total.merge(l1.stats());
+        }
+        l1_total.merge(&l1_extra);
+        let l1_stats = scale_stats(&l1_total, scale);
+        for b in &backends {
+            let mut l2_stats = *b.l2.stats();
             l2_stats.merge(&l2_extra);
-            caches_out.push(CacheActivity {
-                name: cluster.l1d.name.clone(),
-                config: cluster.l1d.clone(),
-                stats: scale_stats(&l1_total, scale),
+            let l2_stats = scale_stats(&l2_stats, scale);
+            // The row-hit counter is cumulative across clusters: take this
+            // cluster's own delta, scaled by this cluster's factor.
+            let row_hits = b.mem.and_then(|i| {
+                let d = mems[i].dram.as_ref()?;
+                Some(d.hits() - row_hits_before[i] + row_hits_extra)
             });
-            caches_out.push(CacheActivity {
-                name: cluster.l2.name.clone(),
-                config: cluster.l2.clone(),
-                stats: scale_stats(&l2_stats, scale),
-            });
-            dram_reads_scaled += (dram_reads_sim as f64 * scale) as u64;
-            dram_writes_scaled += (dram_writes_sim as f64 * scale) as u64;
-            if let Some(d) = dram.as_ref() {
-                // The DramSim hit counter is cumulative across clusters:
-                // accumulate this cluster's own delta scaled by this
-                // cluster's factor.
-                let cluster_hits = d.hits() - row_hits_before_cluster + row_hits_extra;
-                dram_row_hits_scaled += (cluster_hits as f64 * scale) as u64;
+            for tap in &b.taps {
+                let (l1d, l2) = &systems[tap.platform].cache_configs[ci];
+                let out = &mut outs[tap.platform];
+                out.caches.push(CacheActivity {
+                    name: l1d.name.clone(),
+                    config: Arc::clone(l1d),
+                    stats: l1_stats,
+                });
+                out.caches.push(CacheActivity {
+                    name: l2.name.clone(),
+                    config: Arc::clone(l2),
+                    stats: l2_stats,
+                });
+                out.dram_reads += (b.dram_reads as f64 * scale) as u64;
+                out.dram_writes += (b.dram_writes as f64 * scale) as u64;
+                if let Some(hits) = row_hits {
+                    out.dram_row_hits += (hits as f64 * scale) as u64;
+                }
             }
-            global_core_index += cluster.cores;
         }
-
-        let sampled_fraction = {
-            // Report the first active cluster's sampling ratio (diagnostic
-            // only).
-            let c0 = self
-                .config
-                .clusters
-                .iter()
-                .find(|c| cluster_active(c))
-                .expect("at least one active cluster");
-            let w = c0.core.frequency / c0.core.base_cpi;
-            let instr = (kernel.instructions as f64 * w / total_weight) as u64;
-            let mem = (instr as f64 * kernel.memory_ratio) as u64;
-            let sim = mem.min(self.config.sample_accesses_per_thread);
-            if mem == 0 {
-                1.0
-            } else {
-                sim as f64 / mem as f64
-            }
-        };
-        let report = SimReport {
-            kernel: kernel.name.clone(),
-            runtime_seconds: runtime,
-            cores: cores_out,
-            caches: caches_out,
-            dram_reads: dram_reads_scaled,
-            dram_writes: dram_writes_scaled,
-            dram_row_hits: dram_row_hits_scaled,
-            simulated_fraction: sampled_fraction,
-            extrapolated_accesses,
-            fault: fault_mem.map(|fm| *fm.stats()),
-        };
-        if mss_obs::enabled() {
-            mss_obs::counter_add("gemsim.runs", 1);
-            if report.extrapolated_accesses > 0 {
-                mss_obs::counter_add("gemsim.extrapolated_accesses", report.extrapolated_accesses);
-                // Epoch-skip engaged: surface how much of the run was
-                // extrapolated as gauges (mirrored onto the event bus by
-                // the global gauge hook). Exact-mode runs emit none of
-                // these — extrapolated_accesses is identically zero there.
-                mss_obs::counter_add("gemsim.epoch_skip.engaged", 1);
-                mss_obs::gauge_set(
-                    "gemsim.extrapolated_accesses",
-                    report.extrapolated_accesses as f64,
-                );
-                mss_obs::gauge_set("gemsim.simulated_fraction", report.simulated_fraction);
-            }
-            mss_obs::counter_add("gemsim.instructions", report.total_instructions());
-            mss_obs::counter_add("gemsim.dram.reads", report.dram_reads);
-            mss_obs::counter_add("gemsim.dram.writes", report.dram_writes);
-            for cache in &report.caches {
-                mss_obs::counter_add("gemsim.cache.hits", cache.stats.hits());
-                mss_obs::counter_add("gemsim.cache.misses", cache.stats.misses());
-            }
-            mss_obs::record_value("gemsim.runtime_seconds", report.runtime_seconds);
-        }
-        Ok(report)
+        global_core_index += cluster.cores;
     }
+
+    let simulated_fraction = {
+        // Report the first active cluster's sampling ratio (diagnostic
+        // only).
+        let c0 = lead
+            .clusters
+            .iter()
+            .find(|c| is_active(c, placement))
+            .expect("at least one active cluster");
+        let w = c0.core.frequency / c0.core.base_cpi;
+        let instr = (kernel.instructions as f64 * w / total_weight) as u64;
+        let mem = (instr as f64 * kernel.memory_ratio) as u64;
+        let sim = mem.min(lead.sample_accesses_per_thread);
+        if mem == 0 {
+            1.0
+        } else {
+            sim as f64 / mem as f64
+        }
+    };
+    let reports: Vec<SimReport> = outs
+        .into_iter()
+        .zip(&mem_of)
+        .map(|(out, mem)| SimReport {
+            kernel: kernel.name.clone(),
+            runtime_seconds: out.runtime,
+            cores: out.cores,
+            caches: out.caches,
+            dram_reads: out.dram_reads,
+            dram_writes: out.dram_writes,
+            dram_row_hits: out.dram_row_hits,
+            simulated_fraction,
+            extrapolated_accesses,
+            fault: mem.and_then(|i| mems[i].fault.as_ref().map(|fm| *fm.stats())),
+        })
+        .collect();
+    if mss_obs::enabled() {
+        mss_obs::counter_add("gemsim.group.platforms", platforms.len() as u64);
+        mss_obs::counter_add("gemsim.group.backends", backend_count as u64);
+        reports.iter().for_each(record_report);
+    }
+    Ok(reports)
+}
+
+/// Per-report telemetry: one `gemsim.runs` per platform report.
+fn record_report(report: &SimReport) {
+    mss_obs::counter_add("gemsim.runs", 1);
+    if report.extrapolated_accesses > 0 {
+        mss_obs::counter_add("gemsim.extrapolated_accesses", report.extrapolated_accesses);
+        // Epoch-skip engaged: surface how much of the run was extrapolated
+        // as gauges (mirrored onto the event bus by the global gauge hook).
+        // Exact-mode runs emit none of these — extrapolated_accesses is
+        // identically zero there.
+        mss_obs::counter_add("gemsim.epoch_skip.engaged", 1);
+        mss_obs::gauge_set(
+            "gemsim.extrapolated_accesses",
+            report.extrapolated_accesses as f64,
+        );
+        mss_obs::gauge_set("gemsim.simulated_fraction", report.simulated_fraction);
+    }
+    mss_obs::counter_add("gemsim.instructions", report.total_instructions());
+    mss_obs::counter_add("gemsim.dram.reads", report.dram_reads);
+    mss_obs::counter_add("gemsim.dram.writes", report.dram_writes);
+    for cache in &report.caches {
+        mss_obs::counter_add("gemsim.cache.hits", cache.stats.hits());
+        mss_obs::counter_add("gemsim.cache.misses", cache.stats.misses());
+    }
+    mss_obs::record_value("gemsim.runtime_seconds", report.runtime_seconds);
 }
 
 fn scale_stats(s: &CacheStats, scale: f64) -> CacheStats {

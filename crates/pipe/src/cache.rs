@@ -452,25 +452,106 @@ impl PipeCache {
         T: Artifact,
         F: FnOnce() -> Result<T, E>,
     {
-        if let Some(hit) = self.lookup_mem::<T>(stage, key) {
-            self.count(stage, Event::Hit);
+        if let Some(hit) = self.lookup_artifact(stage, key) {
             return Ok(hit);
-        }
-        if let Some(loaded) = self.load_disk::<T>(stage, key) {
-            self.count(stage, Event::DiskHit);
-            let arc = Arc::new(loaded);
-            self.insert_mem(stage, key, arc.clone() as Stored);
-            return Ok(arc);
         }
         self.count(stage, Event::Miss);
         let value = {
             let _span = mss_obs::span(stage.span_name());
             compute()?
         };
+        Ok(self.store_artifact(stage, key, value))
+    }
+
+    /// [`get_or_compute_artifact`](Self::get_or_compute_artifact) for a
+    /// batch of keys whose misses are cheaper to compute together.
+    ///
+    /// Every key is looked up first, in order. Then `compute` runs once,
+    /// under one stage span, with the indices (into `keys`) of the distinct
+    /// missing keys, and must return one value per index in that order.
+    /// Each value is stored under its own key. Hit, miss and store counts
+    /// equal those of calling
+    /// [`get_or_compute_artifact`](Self::get_or_compute_artifact) once per
+    /// key in order: a key repeated within the batch is a miss the first
+    /// time and a hit after that. Results come back in `keys` order.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compute` returns (nothing is stored then); disk problems
+    /// are never errors.
+    ///
+    /// # Panics
+    ///
+    /// When `compute` returns a different number of values than it was
+    /// given indices.
+    pub fn get_or_compute_artifacts<T, E, F>(
+        &self,
+        stage: Stage,
+        keys: &[String],
+        compute: F,
+    ) -> Result<Vec<Arc<T>>, E>
+    where
+        T: Artifact,
+        F: FnOnce(&[usize]) -> Result<Vec<T>, E>,
+    {
+        let mut values: Vec<Option<Arc<T>>> = Vec::with_capacity(keys.len());
+        // The index whose value each key takes: its own, or that of the
+        // first miss on the same key.
+        let mut source: Vec<usize> = Vec::with_capacity(keys.len());
+        let mut missing: Vec<usize> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            if let Some(&first) = missing.iter().find(|&&m| keys[m] == *key) {
+                self.count(stage, Event::Hit);
+                values.push(None);
+                source.push(first);
+                continue;
+            }
+            let hit = self.lookup_artifact(stage, key);
+            if hit.is_none() {
+                self.count(stage, Event::Miss);
+                missing.push(i);
+            }
+            values.push(hit);
+            source.push(i);
+        }
+        if !missing.is_empty() {
+            let computed = {
+                let _span = mss_obs::span(stage.span_name());
+                compute(&missing)?
+            };
+            assert_eq!(
+                computed.len(),
+                missing.len(),
+                "batch compute must return one value per missing key"
+            );
+            for (&i, value) in missing.iter().zip(computed) {
+                values[i] = Some(self.store_artifact(stage, &keys[i], value));
+            }
+        }
+        Ok(source
+            .iter()
+            .map(|&i| values[i].clone().expect("every key is found or computed"))
+            .collect())
+    }
+
+    /// Memory, then disk (promoted to memory); counts the hit.
+    fn lookup_artifact<T: Artifact>(&self, stage: Stage, key: &str) -> Option<Arc<T>> {
+        if let Some(hit) = self.lookup_mem::<T>(stage, key) {
+            self.count(stage, Event::Hit);
+            return Some(hit);
+        }
+        let loaded = Arc::new(self.load_disk::<T>(stage, key)?);
+        self.count(stage, Event::DiskHit);
+        self.insert_mem(stage, key, loaded.clone() as Stored);
+        Some(loaded)
+    }
+
+    /// Stores a computed value in both tiers.
+    fn store_artifact<T: Artifact>(&self, stage: Stage, key: &str, value: T) -> Arc<T> {
         let arc = Arc::new(value);
         self.insert_mem(stage, key, arc.clone() as Stored);
         self.store_disk(stage, key, &*arc);
-        Ok(arc)
+        arc
     }
 
     fn load_disk<T: Artifact>(&self, stage: Stage, key: &str) -> Option<T> {
@@ -752,6 +833,74 @@ mod tests {
             })
             .unwrap();
         assert_eq!(cache.stats(Stage::CharacterizeCells).hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_lookups_count_like_one_by_one_lookups() {
+        let probe = |tag: &str| Probe {
+            x: tag.len() as f64,
+            tag: tag.into(),
+        };
+        let keys: Vec<String> = ["warm", "a", "b", "a", "disk", "b", "c"]
+            .iter()
+            .map(|k| k.to_string())
+            .collect();
+        let run = |cache: &PipeCache, batched: bool| -> Vec<Arc<Probe>> {
+            let _ = cache.get_or_compute_artifact(Stage::SimulateKernel, "warm", || {
+                Ok::<_, ()>(probe("warm"))
+            });
+            if batched {
+                cache
+                    .get_or_compute_artifacts(Stage::SimulateKernel, &keys, |missing| {
+                        Ok::<_, ()>(missing.iter().map(|&i| probe(&keys[i])).collect())
+                    })
+                    .unwrap()
+            } else {
+                keys.iter()
+                    .map(|k| {
+                        cache
+                            .get_or_compute_artifact(Stage::SimulateKernel, k, || {
+                                Ok::<_, ()>(probe(k))
+                            })
+                            .unwrap()
+                    })
+                    .collect()
+            }
+        };
+        let dir = temp_dir("batch");
+        // Seed the disk tier with "disk" from an earlier "process".
+        let _ = PipeCache::with_disk(&dir).get_or_compute_artifact(
+            Stage::SimulateKernel,
+            "disk",
+            || Ok::<_, ()>(probe("disk")),
+        );
+        let one_by_one = PipeCache::with_disk(&dir);
+        let expected = run(&one_by_one, false);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = PipeCache::with_disk(&dir).get_or_compute_artifact(
+            Stage::SimulateKernel,
+            "disk",
+            || Ok::<_, ()>(probe("disk")),
+        );
+        let batched = PipeCache::with_disk(&dir);
+        let got = run(&batched, true);
+        assert_eq!(got, expected);
+        let s = batched.stats(Stage::SimulateKernel);
+        assert_eq!(s, one_by_one.stats(Stage::SimulateKernel));
+        assert_eq!((s.hits, s.disk_hits, s.misses, s.stores), (3, 1, 4, 4));
+        assert!(
+            Arc::ptr_eq(&got[1], &got[3]),
+            "a repeated key shares its value"
+        );
+
+        // A failed batch stores nothing and leaves the misses counted.
+        let cache = PipeCache::memory_only();
+        let r: Result<Vec<Arc<Probe>>, &str> =
+            cache.get_or_compute_artifacts(Stage::SimulateKernel, &keys, |_| Err("boom"));
+        assert_eq!(r.unwrap_err(), "boom");
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats(Stage::SimulateKernel).misses, 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
