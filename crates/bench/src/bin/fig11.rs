@@ -6,8 +6,7 @@
 //!
 //! Outputs: `results/fig11.csv` (the paper grid, byte-identical to the
 //! historic export), `results/fig11_sot.csv` (the extended grid) and
-//! `results/fig11.meta.csv` (figure metadata, including the
-//! `extrapolated_accesses` fidelity marker — 0 here, the flow is exact).
+//! `results/fig11.meta.csv` (figure name and grid shape).
 
 use mss_core::flow::{MagpieFlow, MagpieInputs};
 use mss_core::scenario::Scenario;

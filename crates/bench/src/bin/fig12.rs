@@ -5,8 +5,8 @@
 //!
 //! Outputs: `results/fig12.csv` (the paper grid, byte-identical to the
 //! historic export), `results/fig12_sot.csv` (the per-replacement
-//! STT-vs-SOT merit pairs) and `results/fig12.meta.csv` (figure metadata,
-//! including the `extrapolated_accesses` fidelity marker).
+//! STT-vs-SOT merit pairs) and `results/fig12.meta.csv` (figure name and
+//! grid shape).
 
 use mss_core::flow::{MagpieFlow, MagpieInputs};
 use mss_core::scenario::Scenario;

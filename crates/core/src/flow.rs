@@ -13,7 +13,7 @@ use mss_exec::supervise::{CancelToken, SupervisorConfig};
 use mss_exec::{par_map, ParallelConfig, TaskFailure};
 use mss_gemsim::cache::CacheConfig;
 use mss_gemsim::stats::SimReport;
-use mss_gemsim::system::{EpochSkipConfig, Placement, System, SystemConfig};
+use mss_gemsim::system::{Placement, System, SystemConfig};
 use mss_gemsim::workload::Kernel;
 use mss_mcpat::{evaluate as mcpat_evaluate, McpatConfig, PowerReport};
 use mss_mtj::{MechanismConfig, MssStack, SotParams};
@@ -63,19 +63,12 @@ pub struct MagpieInputs {
     /// scenarios are characterised with (SOT scenarios run with
     /// [`SotParams::default`] otherwise).
     pub mechanism: MechanismConfig,
-    /// Opt-in steady-state extrapolation for the gemsim hot loop (the
-    /// epoch-skip knob). `None` — the default — simulates every sampled
-    /// access exactly, keeping reports and digests byte-identical to the
-    /// historic flow; `Some` trades tail accuracy for speed and reports
-    /// the skipped references per result via
-    /// [`SimReport::extrapolated_accesses`].
-    pub epoch_skip: Option<EpochSkipConfig>,
 }
 
 impl MagpieInputs {
     /// The paper-default knobs for the fields beyond the sweep grid:
-    /// STT mechanism, exact (no epoch-skip) simulation. Construction sites
-    /// that only care about the grid spread this.
+    /// the STT mechanism. Construction sites that only care about the grid
+    /// spread this.
     pub fn defaults() -> Self {
         Self {
             node: TechNode::N45,
@@ -84,7 +77,6 @@ impl MagpieInputs {
             seed: 0,
             sample_cap: 50_000,
             mechanism: MechanismConfig::Stt,
-            epoch_skip: None,
         }
     }
 
@@ -103,8 +95,8 @@ impl MagpieInputs {
     ///
     /// [`MagpieError::InvalidInputs`] with a distinct reason per defect:
     /// empty kernel list, empty scenario list, zero sampling cap, a kernel
-    /// whose own [`Kernel::validate`] rejects it, out-of-range SOT channel
-    /// parameters, or an invalid epoch-skip configuration.
+    /// whose own [`Kernel::validate`] rejects it, or out-of-range SOT
+    /// channel parameters.
     pub fn validate(&self) -> Result<(), MagpieError> {
         if self.kernels.is_empty() {
             return Err(MagpieError::InvalidInputs {
@@ -129,11 +121,6 @@ impl MagpieInputs {
         if let MechanismConfig::Sot(p) = &self.mechanism {
             p.validate().map_err(|e| MagpieError::InvalidInputs {
                 reason: format!("SOT mechanism: {e}"),
-            })?;
-        }
-        if let Some(es) = &self.epoch_skip {
-            es.validate().map_err(|e| MagpieError::InvalidInputs {
-                reason: format!("epoch-skip: {e}"),
             })?;
         }
         Ok(())
@@ -328,7 +315,6 @@ impl MagpieFlow {
     pub fn system_config(&self, scenario: Scenario) -> Result<SystemConfig, MagpieError> {
         let mut base = SystemConfig::big_little_default();
         base.sample_accesses_per_thread = self.inputs.sample_cap;
-        base.epoch_skip = self.inputs.epoch_skip;
 
         // L1s: always SRAM, re-estimated from the node for consistency.
         for cluster in &mut base.clusters {
@@ -586,9 +572,9 @@ impl MagpieFlow {
     /// The structural digest identifying this flow's sweep: open checkpoint
     /// journals against it so manifests from different inputs never alias.
     ///
-    /// The mechanism and epoch-skip knobs are folded in **only when set**:
-    /// a default-STT exact sweep hashes exactly as it did before those
-    /// knobs existed, so historic journals and disk caches stay valid.
+    /// The mechanism is folded in **only when it is not the default**: a
+    /// default-STT sweep hashes exactly as it did before the mechanism knob
+    /// existed, so historic journals and disk caches stay valid.
     pub fn sweep_digest(&self) -> String {
         let kernels: Vec<&str> = self
             .inputs
@@ -608,10 +594,10 @@ impl MagpieFlow {
             scenarios.join(","),
             (self.inputs.seed, self.inputs.sample_cap),
         );
-        if self.inputs.mechanism.is_default() && self.inputs.epoch_skip.is_none() {
+        if self.inputs.mechanism.is_default() {
             digest_of(&base)
         } else {
-            digest_of(&(base, self.inputs.mechanism.clone(), self.inputs.epoch_skip))
+            digest_of(&(base, self.inputs.mechanism.clone()))
         }
     }
 
@@ -929,30 +915,14 @@ impl MagpieReport {
         out
     }
 
-    /// Total gemsim references that were extrapolated (not simulated)
-    /// across every completed pair — 0 unless the flow opted into
-    /// [`MagpieInputs::epoch_skip`].
-    pub fn total_extrapolated_accesses(&self) -> u64 {
-        self.results
-            .iter()
-            .map(|r| r.activity.extrapolated_accesses)
-            .sum()
-    }
-
-    /// Figure metadata as `key,value` CSV: grid shape, the simulation
-    /// fidelity knobs, and the extrapolated-access count — written next to
-    /// the figure CSVs so a consumer can tell an exact report from an
-    /// epoch-skip-accelerated one without re-running the flow.
+    /// Figure metadata as `key,value` CSV: the figure name and the grid
+    /// shape, written next to the figure CSVs.
     pub fn metadata_csv(&self, figure: &str) -> String {
         let mut out = String::from("key,value\n");
         out.push_str(&format!("figure,{figure}\n"));
         out.push_str(&format!("kernels,{}\n", self.kernels().len()));
         out.push_str(&format!("scenarios,{}\n", self.areas.len()));
         out.push_str(&format!("results,{}\n", self.results.len()));
-        out.push_str(&format!(
-            "extrapolated_accesses,{}\n",
-            self.total_extrapolated_accesses()
-        ));
         out
     }
 
@@ -1149,15 +1119,6 @@ mod tests {
         });
         let r = reason(inputs);
         assert!(r.starts_with("SOT mechanism:"), "{r}");
-
-        // So is a broken epoch-skip configuration.
-        let mut inputs = base.clone();
-        inputs.epoch_skip = Some(EpochSkipConfig {
-            window: 0,
-            ..EpochSkipConfig::steady_default()
-        });
-        let r = reason(inputs);
-        assert!(r.starts_with("epoch-skip:"), "{r}");
 
         assert!(base.validate().is_ok());
     }
@@ -1500,9 +1461,8 @@ mod tests {
 
     #[test]
     fn sweep_digest_gates_the_new_knobs() {
-        // Default mechanism + exact simulation hash exactly as the
-        // pre-mechanism flow did: the digest is reproducible from the old
-        // four-field shape.
+        // The default mechanism hashes exactly as the pre-mechanism flow
+        // did: the digest is reproducible from the old four-field shape.
         let (flow, _) = flow_report();
         let kernels = "bodytrack,streamcluster";
         let scenarios = Scenario::ALL.map(|s| s.to_string()).join(",");
@@ -1514,55 +1474,11 @@ mod tests {
         ));
         assert_eq!(flow.sweep_digest(), old_shape);
 
-        // Setting either knob forks the digest.
+        // Setting the mechanism forks the digest.
         let mut inputs = flow.inputs.clone();
         inputs.mechanism = MechanismConfig::Sot(SotParams::default());
         let sot_flow = MagpieFlow::new(inputs).unwrap();
         assert_ne!(sot_flow.sweep_digest(), old_shape);
-
-        let mut inputs = flow.inputs.clone();
-        inputs.epoch_skip = Some(EpochSkipConfig::steady_default());
-        let skip_flow = MagpieFlow::new(inputs).unwrap();
-        assert_ne!(skip_flow.sweep_digest(), old_shape);
-        assert_ne!(skip_flow.sweep_digest(), sot_flow.sweep_digest());
-    }
-
-    #[test]
-    fn epoch_skip_knob_reaches_gemsim_and_the_metadata() {
-        // Exact default: the shared report extrapolated nothing and says so.
-        let (_, exact) = flow_report();
-        assert_eq!(exact.total_extrapolated_accesses(), 0);
-        assert!(exact
-            .metadata_csv("fig12")
-            .contains("extrapolated_accesses,0\n"));
-
-        // Opt-in epoch skip on a steady streaming kernel: the knob reaches
-        // the simulator and the skipped references surface in the metadata.
-        let flow = MagpieFlow::new_with_cache(
-            MagpieInputs {
-                node: TechNode::N45,
-                kernels: vec![Kernel::streamcluster()],
-                scenarios: vec![Scenario::FullSram],
-                seed: 7,
-                sample_cap: 150_000,
-                epoch_skip: Some(EpochSkipConfig {
-                    window: 2048,
-                    converge_windows: 3,
-                    tolerance: 0.10,
-                }),
-                ..MagpieInputs::defaults()
-            },
-            Arc::new(PipeCache::memory_only()),
-        )
-        .unwrap();
-        let report = flow.run().unwrap();
-        let skipped = report.total_extrapolated_accesses();
-        assert!(skipped > 0, "steady kernel extrapolated nothing");
-        let meta = report.metadata_csv("fig12");
-        assert!(
-            meta.contains(&format!("extrapolated_accesses,{skipped}\n")),
-            "{meta}"
-        );
     }
 
     #[test]

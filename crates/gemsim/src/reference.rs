@@ -261,10 +261,8 @@ fn scale_stats(s: &CacheStats, scale: f64) -> CacheStats {
 
 /// Runs one kernel with the naive data structures, one access at a time —
 /// the reference semantics of
-/// [`crate::system::System::run_placed`]. Always exact:
-/// [`SystemConfig::epoch_skip`] is ignored (reported
-/// [`SimReport::extrapolated_accesses`] is 0), and no observability spans
-/// or counters are emitted.
+/// [`crate::system::System::run_placed`]. No observability spans or
+/// counters are emitted.
 ///
 /// # Errors
 ///
@@ -502,7 +500,6 @@ pub fn run_placed(
         dram_writes: dram_writes_scaled,
         dram_row_hits: dram_row_hits_scaled,
         simulated_fraction: sampled_fraction,
-        extrapolated_accesses: 0,
         fault: fault_mem.map(|fm| *fm.stats()),
     })
 }

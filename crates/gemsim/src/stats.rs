@@ -54,10 +54,6 @@ pub struct SimReport {
     pub dram_row_hits: u64,
     /// Fraction of memory accesses actually simulated (sampling factor).
     pub simulated_fraction: f64,
-    /// Sampled references extrapolated (not simulated) by the opt-in
-    /// epoch-skip fast path; always 0 when
-    /// [`crate::system::SystemConfig::epoch_skip`] is `None`.
-    pub extrapolated_accesses: u64,
     /// Fault/ECC activity of the memory array (unscaled simulated counts),
     /// `None` when the run modelled a perfect array.
     pub fault: Option<FaultMemStats>,
@@ -93,7 +89,7 @@ impl PartialEq<SimReport> for Arc<SimReport> {
 
 impl mss_pipe::Artifact for SimReport {
     const KIND: &'static str = "sim-report";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 
     fn encode(&self) -> String {
         use mss_pipe::codec::JsonLine;
@@ -104,7 +100,6 @@ impl mss_pipe::Artifact for SimReport {
             .u64("dram_writes", self.dram_writes)
             .u64("dram_row_hits", self.dram_row_hits)
             .f64_bits("simulated_fraction", self.simulated_fraction)
-            .u64("extrapolated_accesses", self.extrapolated_accesses)
             .u64("cores", self.cores.len() as u64)
             .u64("caches", self.caches.len() as u64)
             .u64("fault", u64::from(self.fault.is_some()))
@@ -172,7 +167,7 @@ impl mss_pipe::Artifact for SimReport {
         let n_caches = get_u64(&meta, "caches")? as usize;
         let has_fault = get_u64(&meta, "fault")? != 0;
 
-        let mut cores = Vec::with_capacity(n_cores);
+        let mut cores = Vec::new();
         for _ in 0..n_cores {
             let map = parse_object(lines.next()?)?;
             cores.push(CoreActivity {
@@ -186,7 +181,7 @@ impl mss_pipe::Artifact for SimReport {
                 ipc: get_f64_bits(&map, "ipc")?,
             });
         }
-        let mut caches = Vec::with_capacity(n_caches);
+        let mut caches = Vec::new();
         for _ in 0..n_caches {
             let map = parse_object(lines.next()?)?;
             caches.push(CacheActivity {
@@ -241,7 +236,6 @@ impl mss_pipe::Artifact for SimReport {
             dram_writes: get_u64(&meta, "dram_writes")?,
             dram_row_hits: get_u64(&meta, "dram_row_hits")?,
             simulated_fraction: get_f64_bits(&meta, "simulated_fraction")?,
-            extrapolated_accesses: get_u64(&meta, "extrapolated_accesses")?,
             fault,
         })
     }
@@ -275,7 +269,6 @@ mod tests {
             dram_writes: 2,
             dram_row_hits: 0,
             simulated_fraction: 1.0,
-            extrapolated_accesses: 0,
             fault: None,
         };
         assert_eq!(r.total_instructions(), 150);
@@ -328,7 +321,6 @@ mod tests {
             dram_writes: 70,
             dram_row_hits: 55,
             simulated_fraction: 0.1,
-            extrapolated_accesses: 9000,
             fault: Some(FaultMemStats {
                 writes: 1,
                 reads: 2,

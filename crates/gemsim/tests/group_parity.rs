@@ -8,7 +8,7 @@
 use mss_exec::supervise::CancelToken;
 use mss_gemsim::cache::CacheConfig;
 use mss_gemsim::dram::RowBufferConfig;
-use mss_gemsim::system::{EpochSkipConfig, Placement, System, SystemConfig};
+use mss_gemsim::system::{Placement, System, SystemConfig};
 use mss_gemsim::workload::Kernel;
 use mss_gemsim::GemsimError;
 
@@ -163,14 +163,7 @@ fn memory_side_knobs_match_alone_and_mixed() {
             EccScheme::bch(2, 512),
         ));
     };
-    let epoch = |c: &mut SystemConfig| {
-        c.epoch_skip = Some(EpochSkipConfig {
-            window: 512,
-            converge_windows: 2,
-            tolerance: 0.10,
-        })
-    };
-    let knobs: [&dyn Fn(&mut SystemConfig); 4] = [&row_buffer, &prefetch, &fault, &epoch];
+    let knobs: [&dyn Fn(&mut SystemConfig); 3] = [&row_buffer, &prefetch, &fault];
     let mixed: Vec<System> = knobs
         .iter()
         .flat_map(|knob| [with(0, knob), with(1, knob), with(3, knob)])

@@ -1,9 +1,9 @@
 //! Hot-loop parity: the optimized simulator (struct-of-arrays cache,
 //! ring-buffer stream, chunked system loop) must be **bit-for-bit
 //! identical** to the naive executable specification in
-//! `mss_gemsim::reference` whenever the epoch-skip fast path is off (the
-//! default). Any drift — a reordered RNG draw, a different f64 accumulation
-//! order, an off-by-one in LRU rank math — fails these tests.
+//! `mss_gemsim::reference`. Any drift — a reordered RNG draw, a different
+//! f64 accumulation order, an off-by-one in LRU rank math — fails these
+//! tests.
 
 use mss_exec::ParallelConfig;
 use mss_gemsim::cache::{Cache, CacheConfig};

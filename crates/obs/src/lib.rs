@@ -473,9 +473,9 @@ impl Registry {
 
     /// Sets the named gauge to `v` (last write wins).
     ///
-    /// Gauges are point-in-time levels — cache occupancy, hit ratio,
-    /// extrapolated access counts — where only the latest value matters,
-    /// unlike monotonically accumulating counters.
+    /// Gauges are point-in-time levels — cache occupancy, hit ratio —
+    /// where only the latest value matters, unlike monotonically
+    /// accumulating counters.
     pub fn gauge_set(&self, name: &str, v: f64) {
         if !self.enabled() {
             return;

@@ -143,3 +143,72 @@ fn disk_tier_carries_artifacts_across_cache_instances() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Replaces the value of the first JSON field `key` in `text`.
+fn set_field(text: &str, key: &str, value: &str) -> String {
+    let tag = format!("\"{key}\":");
+    let start = text.find(&tag).expect("field present") + tag.len();
+    let end = start + text[start..].find([',', '}']).expect("field ends");
+    format!("{}{value}{}", &text[..start], &text[end..])
+}
+
+#[test]
+fn damaged_and_outdated_sim_reports_load_as_misses() {
+    let _serial = LOCK.lock().unwrap();
+    obs::init_with_mode(obs::Mode::Metrics);
+
+    let dir = std::env::temp_dir().join(format!("mss-pipe-damage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let cold = MagpieFlow::new_with_cache(
+        sweep_inputs(TechNode::N45),
+        Arc::new(PipeCache::with_disk(&dir)),
+    )
+    .expect("cold setup")
+    .run()
+    .expect("cold run");
+
+    let mut entries: Vec<_> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with(&format!("{}-", Stage::SimulateKernel.name())))
+        })
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), 2, "one simulate entry per scenario");
+    // The header carries `version` and the report's first line `cores`;
+    // neither key appears anywhere else in an entry.
+    let rewrite = |path: &std::path::Path, edit: &dyn Fn(&str) -> String| {
+        let text = std::fs::read_to_string(path).expect("entry");
+        std::fs::write(path, edit(&text)).expect("rewrite entry");
+    };
+    // A damaged entry: a core count no file could back.
+    rewrite(&entries[0], &|text| {
+        set_field(text, "cores", &u64::MAX.to_string())
+    });
+    // An entry in the version-1 format, which still carried
+    // `extrapolated_accesses`.
+    rewrite(&entries[1], &|text| {
+        set_field(text, "version", "1").replacen(
+            ",\"cores\":",
+            ",\"extrapolated_accesses\":0,\"cores\":",
+            1,
+        )
+    });
+
+    let warm_cache = Arc::new(PipeCache::with_disk(&dir));
+    let warm = MagpieFlow::new_with_cache(sweep_inputs(TechNode::N45), Arc::clone(&warm_cache))
+        .expect("warm setup")
+        .run()
+        .expect("warm run");
+    let sim = warm_cache.stats(Stage::SimulateKernel);
+    assert_eq!(sim.load_failures, 2, "both entries must fail to load");
+    assert_eq!(sim.misses, 2, "both pairs must be re-simulated");
+    assert_eq!(warm, cold, "recomputed report must be bit-identical");
+    assert_eq!(warm.fig12_csv(), cold.fig12_csv());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
