@@ -394,7 +394,7 @@ impl MagpieFlow {
         let mcpat_cfg = McpatConfig::default();
         let prepare_span = mss_obs::span("flow.prepare");
         // Stage 1: per-scenario estimation (NVSim/McPAT) and platform build.
-        let (areas, systems) = self.prepare(exec)?;
+        let (areas, systems) = self.prepare()?;
         drop(prepare_span);
         let simulate_span = mss_obs::span("flow.simulate");
 
@@ -452,16 +452,22 @@ impl MagpieFlow {
 
     /// Estimates every scenario's arrays and builds its platform, in
     /// scenario order.
-    fn prepare(
-        &self,
-        exec: &ParallelConfig,
-    ) -> Result<(Vec<ScenarioArea>, Vec<System>), MagpieError> {
-        let prepared = par_map(exec, &self.inputs.scenarios, |_, &scenario| {
-            let area = self.scenario_area(scenario)?;
-            let system = System::new(self.system_config(scenario)?)?;
-            Ok::<_, MagpieError>((area, system))
-        });
-        prepared.into_iter().collect()
+    ///
+    /// Serial on purpose: scenarios share `EstimateArray` stage keys, and
+    /// concurrent workers could both miss one key and estimate it twice,
+    /// making the cache counts depend on the thread count. The few
+    /// scenarios take milliseconds, and every span nests under
+    /// `flow.prepare` on the calling thread.
+    fn prepare(&self) -> Result<(Vec<ScenarioArea>, Vec<System>), MagpieError> {
+        self.inputs
+            .scenarios
+            .iter()
+            .map(|&scenario| {
+                let area = self.scenario_area(scenario)?;
+                let system = System::new(self.system_config(scenario)?)?;
+                Ok((area, system))
+            })
+            .collect()
     }
 
     /// Every (scenario, kernel) index pair, scenario-major.
@@ -524,7 +530,7 @@ impl MagpieFlow {
         let _flow_span = mss_obs::span("flow.run");
         let mcpat_cfg = McpatConfig::default();
         let prepare_span = mss_obs::span("flow.prepare");
-        let (areas, systems) = self.prepare(exec)?;
+        let (areas, systems) = self.prepare()?;
         drop(prepare_span);
         let simulate_span = mss_obs::span("flow.simulate");
 

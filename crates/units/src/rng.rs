@@ -267,6 +267,10 @@ pub fn truncated_normal<R: Rng + ?Sized>(
     mean.clamp(lo, hi)
 }
 
+/// Smallest Box–Muller `u1` that [`Variation::skip`] accepts without
+/// evaluating `z`: `√(−2 ln 5e-4) ≈ 3.899 < 4`.
+const SKIP_ACCEPT_U1: f64 = 5.0e-4;
+
 /// A named Gaussian variation source: `value = nominal · (1 + σ_rel·z)` or
 /// `value = nominal + σ_abs·z` depending on [`VariationKind`].
 ///
@@ -316,11 +320,51 @@ impl Variation {
         if self.sigma == 0.0 {
             return nominal;
         }
-        let sd = match self.kind {
-            VariationKind::Relative => self.sigma * nominal.abs(),
-            VariationKind::Absolute => self.sigma,
-        };
-        truncated_normal(rng, nominal, sd, nominal - 4.0 * sd, nominal + 4.0 * sd)
+        let (lo, hi) = self.window(nominal);
+        truncated_normal(rng, nominal, self.std_dev_at(nominal), lo, hi)
+    }
+
+    /// Advances `rng` exactly as [`sample`](Self::sample) would for
+    /// `nominal`, without evaluating the value it discards.
+    ///
+    /// Each rejection round draws `u1` (re-drawn while `u1 ≤
+    /// f64::MIN_POSITIVE`) and then `u2`, as Box–Muller does. A round with
+    /// `u1 ≥ 5e-4` bounds `|z| ≤ √(−2 ln u1) < 3.9`, so `nominal + sd·z`
+    /// lies inside the ±4σ window (rounding is monotone) and the round is
+    /// accepted without its `ln`/`sqrt`/`cos`. Rarer rounds evaluate `z`
+    /// and run `sample`'s own window test.
+    ///
+    /// # Panics
+    ///
+    /// Whenever [`sample`](Self::sample) panics (an empty window).
+    pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R, nominal: f64) {
+        if self.sigma == 0.0 {
+            return;
+        }
+        let (lo, hi) = self.window(nominal);
+        assert!(lo < hi, "invalid truncation window [{lo}, {hi}]");
+        let sd = self.std_dev_at(nominal);
+        for _ in 0..1000 {
+            let mut u1: f64 = rng.next_f64();
+            while u1 <= f64::MIN_POSITIVE {
+                u1 = rng.next_f64();
+            }
+            let u2: f64 = rng.next_f64();
+            if u1 >= SKIP_ACCEPT_U1 && sd.is_finite() {
+                return;
+            }
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            if (lo..=hi).contains(&(nominal + sd * z)) {
+                return;
+            }
+        }
+    }
+
+    /// The `[nominal − 4σ, nominal + 4σ]` truncation window
+    /// [`sample`](Self::sample) draws from; a single point when σ = 0.
+    pub fn window(&self, nominal: f64) -> (f64, f64) {
+        let sd = self.std_dev_at(nominal);
+        (nominal - 4.0 * sd, nominal + 4.0 * sd)
     }
 
     /// The effective absolute standard deviation around `nominal`.
@@ -507,6 +551,46 @@ mod tests {
     fn zero_variation_returns_nominal() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(4);
         assert_eq!(Variation::none().sample(&mut rng, 123.0), 123.0);
+    }
+
+    #[test]
+    fn skip_acceptance_bound_stays_inside_the_window() {
+        let z_max = (-2.0 * SKIP_ACCEPT_U1.ln()).sqrt();
+        assert!(z_max < 3.9, "|z| bound {z_max}");
+    }
+
+    /// `skip` must leave the generator exactly where `sample` leaves it.
+    fn assert_skip_tracks_sample(v: Variation, nominal: f64, calls: usize) {
+        let mut sampled = Xoshiro256PlusPlus::seed_from_u64(0x5C1F);
+        let mut skipped = sampled.clone();
+        let (lo, hi) = v.window(nominal);
+        let mut rejected = 0usize;
+        for i in 0..calls {
+            let mut probe = sampled.clone();
+            let x = v.sample(&mut sampled, nominal);
+            v.skip(&mut skipped, nominal);
+            assert_eq!(sampled, skipped, "{v:?} diverged at call {i}");
+            // A round whose value left the window took two extra draws.
+            if v.sigma != 0.0 {
+                let first = normal(&mut probe, nominal, v.std_dev_at(nominal));
+                if !(lo..=hi).contains(&first) {
+                    rejected += 1;
+                }
+            }
+            assert!((lo..=hi).contains(&x));
+        }
+        if v.sigma != 0.0 {
+            // P(|z| > 4) ≈ 6.3e-5: a million calls reject ~63 first rounds.
+            assert!(rejected > 0, "{v:?}: no rejection round exercised");
+        }
+    }
+
+    #[test]
+    fn skip_consumes_exactly_the_draws_of_sample() {
+        assert_skip_tracks_sample(Variation::relative(0.05), 40e-9, 1_000_000);
+        assert_skip_tracks_sample(Variation::absolute(0.035), 0.45, 1_000_000);
+        assert_skip_tracks_sample(Variation::none(), 1.5, 1_000);
+        assert_skip_tracks_sample(Variation::relative(0.0), 1.5, 1_000);
     }
 
     #[test]

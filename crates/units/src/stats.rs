@@ -18,7 +18,7 @@
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -115,6 +115,14 @@ impl OnlineStats {
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+impl Default for OnlineStats {
+    /// The empty accumulator of [`OnlineStats::new`]: `±inf` extrema are
+    /// the merge identity, so the first observation sets `min` and `max`.
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -274,6 +282,16 @@ pub fn try_quantile(data: &mut [f64], p: f64) -> Result<Quantile, QuantileError>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        let mut s = OnlineStats::default();
+        assert_eq!(s.min(), f64::INFINITY);
+        assert_eq!(s.max(), f64::NEG_INFINITY);
+        s.push(3.0);
+        assert_eq!(s.min(), 3.0);
+        assert_eq!(s.max(), 3.0);
+    }
 
     #[test]
     fn welford_matches_two_pass() {

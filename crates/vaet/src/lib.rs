@@ -12,6 +12,8 @@
 //! - [`montecarlo`] — access-level Monte Carlo producing the μ/σ
 //!   distributions of Table 1 (word-completion latency: an access finishes
 //!   when its *slowest* bit does),
+//! - [`reference`](mod@reference) — the naive Monte Carlo sampler
+//!   [`montecarlo`] must match bit for bit (its executable specification),
 //! - [`margins`] — timing margins for target write/read error rates
 //!   (Fig. 7),
 //! - [`ecc`] — error-correcting-code trade-offs: write latency vs corrected
@@ -53,6 +55,7 @@ pub mod margins;
 pub mod montecarlo;
 pub mod optimize;
 pub mod read;
+pub mod reference;
 pub mod refresh;
 pub mod report;
 pub mod temperature;

@@ -17,15 +17,17 @@
 
 use mss_exec::supervise::CancelToken;
 use mss_exec::{par_chunks_stats, ParallelConfig, RunStats};
-use mss_mtj::switching::SwitchingModel;
+use mss_mtj::{MechanismConfig, MssStack, MssStackBuilder};
+use mss_pdk::variation::MtjVariation;
 use mss_spice::batch::DcBatch;
 use mss_spice::netlist::Netlist;
 use mss_spice::waveform::Waveform;
 
-use mss_units::rng::{normal, Rng, Xoshiro256PlusPlus};
+use mss_units::rng::{normal, Rng, Variation, Xoshiro256PlusPlus};
 use mss_units::stats::{DistributionSummary, OnlineStats};
 
 use crate::context::{VaetContext, SENSE_OFFSET_SIGMA};
+use crate::reference::{switching_time, thermal_angle};
 use crate::report::VaetReport;
 use crate::VaetError;
 
@@ -50,55 +52,246 @@ impl Default for MonteCarloOptions {
     }
 }
 
-/// Draws a thermal initial angle from the Rayleigh-like distribution.
-fn thermal_angle<R: Rng + ?Sized>(rng: &mut R, delta: f64) -> f64 {
-    // θ₀² ~ Exp(Δ): invert the CDF with a guarded uniform.
-    let mut u: f64 = rng.next_f64();
-    while u <= f64::MIN_POSITIVE {
-        u = rng.next_f64();
-    }
-    (-u.ln() / delta).sqrt().min(std::f64::consts::FRAC_PI_2)
-}
-
-/// Per-bit precessional switching time with an explicit initial angle.
-fn switching_time(sw: &SwitchingModel, i_write: f64, theta0: f64) -> f64 {
-    let i = i_write / sw.critical_current();
-    if i <= 1.0 {
-        // Subcritical sample (deep process corner): report a pessimistic
-        // 10x the nominal-style time so the tail is visible, bounded to
-        // keep statistics finite.
-        return 10.0 * sw.tau_d() * (std::f64::consts::FRAC_PI_2 / theta0.max(1e-6)).ln();
-    }
-    sw.tau_d() / (i - 1.0) * (std::f64::consts::FRAC_PI_2 / theta0.max(1e-9)).ln()
-}
-
 /// Word-independent quantities shared by every sample.
 #[derive(Debug, Clone, Copy)]
-struct SampleConsts {
-    periph_wl: f64,
-    periph_rl: f64,
-    periph_we: f64,
-    periph_re: f64,
-    i_write_nom: f64,
-    sense_nom: f64,
-    signal_nom: f64,
+pub(crate) struct SampleConsts {
+    pub(crate) periph_wl: f64,
+    pub(crate) periph_rl: f64,
+    pub(crate) periph_we: f64,
+    pub(crate) periph_re: f64,
+    pub(crate) i_write_nom: f64,
+    pub(crate) sense_nom: f64,
+    pub(crate) signal_nom: f64,
 }
 
 /// Per-batch accumulators, merged in batch order after the fan-out.
 #[derive(Debug, Clone, Default)]
-struct BatchAcc {
-    wl: OnlineStats,
-    we: OnlineStats,
-    rl: OnlineStats,
-    re: OnlineStats,
+pub(crate) struct BatchAcc {
+    pub(crate) wl: OnlineStats,
+    pub(crate) we: OnlineStats,
+    pub(crate) rl: OnlineStats,
+    pub(crate) re: OnlineStats,
 }
 
 impl BatchAcc {
-    fn merge(&mut self, other: &BatchAcc) {
+    pub(crate) fn merge(&mut self, other: &BatchAcc) {
         self.wl.merge(&other.wl);
         self.we.merge(&other.we);
         self.rl.merge(&other.rl);
         self.re.merge(&other.re);
+    }
+}
+
+/// The validated word width and sample constants of one run; shared with
+/// [`crate::reference`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Setup {
+    pub(crate) word: usize,
+    pub(crate) consts: SampleConsts,
+}
+
+impl Setup {
+    pub(crate) fn new(ctx: &VaetContext, opts: &MonteCarloOptions) -> Result<Self, VaetError> {
+        if opts.samples == 0 {
+            return Err(VaetError::InvalidOptions {
+                reason: "samples must be non-zero".into(),
+            });
+        }
+        let word = opts.word_bits.unwrap_or(ctx.config.word_bits) as usize;
+        if word == 0 {
+            return Err(VaetError::InvalidOptions {
+                reason: "word width must be non-zero".into(),
+            });
+        }
+
+        // Peripheral energy share = array energy minus the word's cell
+        // energy, rescaled when the word width is overridden (narrower
+        // accesses fire proportionally less periphery).
+        let word_fraction = word as f64 / ctx.config.word_bits as f64;
+        let periph_we = (ctx.nominal.write_energy
+            - ctx.config.word_bits as f64 * ctx.cell.write.energy)
+            .max(0.0)
+            * word_fraction;
+        let periph_re =
+            (ctx.nominal.read_energy - ctx.config.word_bits as f64 * ctx.cell.read.energy).max(0.0)
+                * word_fraction;
+        Ok(Self {
+            word,
+            consts: SampleConsts {
+                periph_wl: ctx.write_periphery_latency(),
+                periph_rl: ctx.read_periphery_latency(),
+                periph_we,
+                periph_re,
+                i_write_nom: ctx.cell.write.current,
+                sense_nom: ctx.cell.read.latency,
+                signal_nom: ctx.sense_signal(),
+            },
+        })
+    }
+
+    pub(crate) fn report(
+        &self,
+        ctx: &VaetContext,
+        opts: &MonteCarloOptions,
+        total: &BatchAcc,
+    ) -> VaetReport {
+        VaetReport {
+            node: ctx.tech.node,
+            samples: opts.samples as u64,
+            word_bits: self.word as u32,
+            nominal_write_latency: ctx.nominal.write_latency,
+            // Nominal energies consistent with the effective word width.
+            nominal_write_energy: self.consts.periph_we + self.word as f64 * ctx.cell.write.energy,
+            nominal_read_latency: ctx.nominal.read_latency,
+            nominal_read_energy: self.consts.periph_re + self.word as f64 * ctx.cell.read.energy,
+            write_latency: DistributionSummary::from(&total.wl),
+            write_energy: DistributionSummary::from(&total.we),
+            read_latency: DistributionSummary::from(&total.rl),
+            read_energy: DistributionSummary::from(&total.re),
+        }
+    }
+}
+
+/// The variation fields one side of an access reads. Diameter is always
+/// read. An unread field's draw is still consumed
+/// ([`Variation::skip`]), so the generator advances exactly as under
+/// [`VariationCard::sample_stack`](mss_pdk::variation::VariationCard::sample_stack),
+/// and the built stack carries the nominal value.
+#[derive(Debug, Clone, Copy)]
+struct StackReads {
+    thickness: bool,
+    ra: bool,
+    tmr: bool,
+    anisotropy: bool,
+}
+
+impl StackReads {
+    /// Every field: a full `sample_stack` draw.
+    const ALL: Self = Self {
+        thickness: true,
+        ra: true,
+        tmr: true,
+        anisotropy: true,
+    };
+
+    /// The read side: `R_P`/`R_AP` read diameter, RA and TMR.
+    const READ: Self = Self {
+        thickness: false,
+        ra: true,
+        tmr: true,
+        anisotropy: false,
+    };
+
+    /// The write side: the switching model reads diameter, thickness and
+    /// K_i; the write-path resistance reads RA for the STT junction and
+    /// only the diameter for the SOT channel.
+    fn write(mechanism: &MechanismConfig) -> Self {
+        Self {
+            thickness: true,
+            ra: matches!(mechanism, MechanismConfig::Stt),
+            tmr: false,
+            anisotropy: true,
+        }
+    }
+}
+
+/// Draws one bit's stack in `sample_stack`'s order (diameter, thickness,
+/// RA, TMR, K_i), evaluating only the fields in `reads`.
+fn draw_stack<R: Rng + ?Sized>(
+    card: &MtjVariation,
+    nominal: &MssStack,
+    reads: StackReads,
+    rng: &mut R,
+) -> Result<MssStack, VaetError> {
+    fn field<R: Rng + ?Sized>(v: &Variation, rng: &mut R, nominal: f64, read: bool) -> f64 {
+        if read {
+            v.sample(rng, nominal)
+        } else {
+            v.skip(rng, nominal);
+            nominal
+        }
+    }
+    let diameter = card.diameter.sample(rng, nominal.diameter());
+    let thickness = field(
+        &card.thickness,
+        rng,
+        nominal.free_layer_thickness(),
+        reads.thickness,
+    );
+    let ra = field(&card.ra, rng, nominal.resistance_area_product(), reads.ra);
+    let tmr = field(&card.tmr, rng, nominal.tmr_zero_bias(), reads.tmr);
+    let ki = field(
+        &card.anisotropy,
+        rng,
+        nominal.interfacial_anisotropy(),
+        reads.anisotropy,
+    );
+    MssStackBuilder::from(nominal.clone())
+        .diameter(diameter)
+        .free_layer_thickness(thickness)
+        .resistance_area_product(ra)
+        .tmr_zero_bias(tmr)
+        .interfacial_anisotropy(ki)
+        .build()
+        .map_err(VaetError::Device)
+}
+
+/// True when the stack builds at all 32 corners of the card's ±4σ
+/// sampling box. Each `MssStackBuilder::build` check on a varied field is
+/// an interval check on that field or monotone in it (`hk_eff > 0` rises
+/// with K_i and falls with thickness), so then every in-window sample
+/// builds too, and a skipped draw cannot hide a build error.
+fn corner_box_builds(card: &MtjVariation, nominal: &MssStack) -> bool {
+    let windows = [
+        card.diameter.window(nominal.diameter()),
+        card.thickness.window(nominal.free_layer_thickness()),
+        card.ra.window(nominal.resistance_area_product()),
+        card.tmr.window(nominal.tmr_zero_bias()),
+        card.anisotropy.window(nominal.interfacial_anisotropy()),
+    ];
+    (0..1u32 << windows.len()).all(|corner| {
+        let at = |i: usize| {
+            let (lo, hi) = windows[i];
+            if corner >> i & 1 == 0 {
+                lo
+            } else {
+                hi
+            }
+        };
+        MssStackBuilder::from(nominal.clone())
+            .diameter(at(0))
+            .free_layer_thickness(at(1))
+            .resistance_area_product(at(2))
+            .tmr_zero_bias(at(3))
+            .interfacial_anisotropy(at(4))
+            .build()
+            .is_ok()
+    })
+}
+
+/// The stack fields each side of an access evaluates in one run.
+#[derive(Debug, Clone, Copy)]
+struct Draws {
+    write: StackReads,
+    read: StackReads,
+}
+
+impl Draws {
+    /// Per-side reads when the card's corner box builds; otherwise every
+    /// field on both sides, so a failing sample reports the error
+    /// `sample_stack` would.
+    fn for_context(ctx: &VaetContext) -> Self {
+        if corner_box_builds(&ctx.variation.mtj, &ctx.stack) {
+            Self {
+                write: StackReads::write(&ctx.mechanism),
+                read: StackReads::READ,
+            }
+        } else {
+            Self {
+                write: StackReads::ALL,
+                read: StackReads::ALL,
+            }
+        }
     }
 }
 
@@ -107,6 +300,7 @@ fn sample_access<R: Rng + ?Sized>(
     ctx: &VaetContext,
     word: usize,
     consts: &SampleConsts,
+    draws: Draws,
     rng: &mut R,
     acc: &mut BatchAcc,
 ) -> Result<(), VaetError> {
@@ -124,10 +318,7 @@ fn sample_access<R: Rng + ?Sized>(
     let mut t_cell_max: f64 = 0.0;
     let mut power_sum = 0.0;
     for _ in 0..word {
-        let stack = ctx
-            .variation
-            .sample_stack(rng, &ctx.stack)
-            .map_err(VaetError::Device)?;
+        let stack = draw_stack(&ctx.variation.mtj, &ctx.stack, draws.write, rng)?;
         let sw = ctx.corner_switching_model(&stack)?;
         // Local access-device mismatch perturbs the write current.
         let i_rel = normal(rng, 1.0, 0.04).clamp(0.7, 1.3) / speed_factor;
@@ -148,10 +339,7 @@ fn sample_access<R: Rng + ?Sized>(
     let mut t_sense_max: f64 = 0.0;
     let mut e_read_cells = 0.0;
     for _ in 0..word {
-        let stack = ctx
-            .variation
-            .sample_stack(rng, &ctx.stack)
-            .map_err(VaetError::Device)?;
+        let stack = draw_stack(&ctx.variation.mtj, &ctx.stack, draws.read, rng)?;
         // Signal scales with this bit's resistance window.
         let window = stack.resistance_antiparallel() - stack.resistance_parallel();
         let window_nom = ctx.cell.r_antiparallel - ctx.cell.r_parallel;
@@ -238,41 +426,8 @@ fn run_with_stats_inner(
     cfg: &ParallelConfig,
     token: Option<&CancelToken>,
 ) -> Result<(VaetReport, RunStats), VaetError> {
-    if opts.samples == 0 {
-        return Err(VaetError::InvalidOptions {
-            reason: "samples must be non-zero".into(),
-        });
-    }
-    let word = opts.word_bits.unwrap_or(ctx.config.word_bits) as usize;
-    if word == 0 {
-        return Err(VaetError::InvalidOptions {
-            reason: "word width must be non-zero".into(),
-        });
-    }
-
-    // Peripheral energy share = array energy minus the word's cell energy,
-    // rescaled when the word width is overridden (narrower accesses fire
-    // proportionally less periphery).
-    let word_fraction = word as f64 / ctx.config.word_bits as f64;
-    let periph_we =
-        (ctx.nominal.write_energy - ctx.config.word_bits as f64 * ctx.cell.write.energy).max(0.0)
-            * word_fraction;
-    let periph_re = (ctx.nominal.read_energy - ctx.config.word_bits as f64 * ctx.cell.read.energy)
-        .max(0.0)
-        * word_fraction;
-    // Nominal energies consistent with the effective word width.
-    let nominal_we = periph_we + word as f64 * ctx.cell.write.energy;
-    let nominal_re = periph_re + word as f64 * ctx.cell.read.energy;
-
-    let consts = SampleConsts {
-        periph_wl: ctx.write_periphery_latency(),
-        periph_rl: ctx.read_periphery_latency(),
-        periph_we,
-        periph_re,
-        i_write_nom: ctx.cell.write.current,
-        sense_nom: ctx.cell.read.latency,
-        signal_nom: ctx.sense_signal(),
-    };
+    let setup = Setup::new(ctx, opts)?;
+    let draws = Draws::for_context(ctx);
 
     let _span = mss_obs::span("vaet.mc.run");
     // Batch-boundary progress for the live telemetry plane: one event per
@@ -300,7 +455,7 @@ fn run_with_stats_inner(
             let mut rng = Xoshiro256PlusPlus::stream(opts.seed, batch as u64);
             let mut acc = BatchAcc::default();
             for _ in range {
-                sample_access(ctx, word, &consts, &mut rng, &mut acc)?;
+                sample_access(ctx, setup.word, &setup.consts, draws, &mut rng, &mut acc)?;
             }
             if events_on {
                 let done = batches_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
@@ -323,19 +478,7 @@ fn run_with_stats_inner(
         total.merge(&batch?);
     }
 
-    let report = VaetReport {
-        node: ctx.tech.node,
-        samples: opts.samples as u64,
-        word_bits: word as u32,
-        nominal_write_latency: ctx.nominal.write_latency,
-        nominal_write_energy: nominal_we,
-        nominal_read_latency: ctx.nominal.read_latency,
-        nominal_read_energy: nominal_re,
-        write_latency: DistributionSummary::from(&total.wl),
-        write_energy: DistributionSummary::from(&total.we),
-        read_latency: DistributionSummary::from(&total.rl),
-        read_energy: DistributionSummary::from(&total.re),
-    };
+    let report = setup.report(ctx, opts, &total);
     Ok((report, stats))
 }
 
@@ -533,6 +676,47 @@ mod tests {
     }
 
     #[test]
+    fn extrema_bracket_the_mean() {
+        let report = run_with(
+            ctx45(),
+            &MonteCarloOptions {
+                samples: 64,
+                seed: 5,
+                word_bits: Some(64),
+            },
+            &ParallelConfig::serial().with_chunk(16),
+        )
+        .unwrap();
+        for d in [
+            report.write_latency,
+            report.write_energy,
+            report.read_latency,
+            report.read_energy,
+        ] {
+            assert!(0.0 < d.min && d.min <= d.mean && d.mean <= d.max, "{d:?}");
+        }
+        let sense = sense_margin_batch_with(
+            ctx45(),
+            &SenseBatchOptions {
+                samples: 64,
+                seed: 5,
+            },
+            &ParallelConfig::serial(),
+        )
+        .unwrap();
+        assert_eq!(sense.margin.min, sense.min_margin);
+    }
+
+    #[test]
+    fn corner_box_gates_the_skipping_draws() {
+        let mut card = ctx45().variation.mtj;
+        assert!(corner_box_builds(&card, &ctx45().stack));
+        // −4σ of a 50 % thickness spread is a negative film.
+        card.thickness = Variation::relative(0.5);
+        assert!(!corner_box_builds(&card, &ctx45().stack));
+    }
+
+    #[test]
     fn bit_identical_across_thread_counts() {
         // The determinism contract: a fixed seed gives the exact same
         // report at 1, 2 and 8 threads (batch streams + ordered merge).
@@ -713,21 +897,5 @@ mod tests {
             run_with_stats_cancellable(ctx45(), &small_opts(1), &ParallelConfig::serial(), &live)
                 .unwrap();
         assert_eq!(report, run(ctx45(), &small_opts(1)).unwrap());
-    }
-
-    #[test]
-    fn thermal_angle_statistics() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(10);
-        let delta = 45.0;
-        let mean_sq: f64 = (0..20_000)
-            .map(|_| thermal_angle(&mut rng, delta).powi(2))
-            .sum::<f64>()
-            / 20_000.0;
-        // E[theta^2] = 1/Delta.
-        assert!(
-            (mean_sq * delta - 1.0).abs() < 0.05,
-            "mean_sq*delta = {}",
-            mean_sq * delta
-        );
     }
 }

@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use great_mss::core::flow::{MagpieFlow, MagpieInputs, MagpieReport};
 use great_mss::core::scenario::Scenario;
+use great_mss::exec::ParallelConfig;
 use great_mss::gemsim::workload::Kernel;
 use great_mss::obs;
 use great_mss::pdk::tech::TechNode;
@@ -211,4 +212,26 @@ fn damaged_and_outdated_sim_reports_load_as_misses() {
     assert_eq!(warm.fig12_csv(), cold.fig12_csv());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn estimate_array_counts_do_not_depend_on_thread_count() {
+    let _serial = LOCK.lock().unwrap();
+    let estimate_stats = |threads: usize| {
+        let cache = Arc::new(PipeCache::memory_only());
+        let inputs = MagpieInputs {
+            scenarios: Scenario::ALL_WITH_SOT.to_vec(),
+            sample_cap: 2_000,
+            ..sweep_inputs(TechNode::N45)
+        };
+        MagpieFlow::new_with_cache(inputs, Arc::clone(&cache))
+            .expect("flow setup")
+            .run_with(&ParallelConfig::serial().with_threads(threads))
+            .expect("flow run");
+        cache.stats(Stage::EstimateArray)
+    };
+    let serial = estimate_stats(1);
+    for run in 0..5 {
+        assert_eq!(estimate_stats(8), serial, "8-thread run {run}");
+    }
 }
