@@ -7,6 +7,7 @@
 //! mapping to the paper lives in `DESIGN.md` §4; measured-vs-paper numbers
 //! are recorded in `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod harness;

@@ -34,6 +34,7 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod supervise;

@@ -37,6 +37,7 @@
 //! and merge counters in block order, so a fixed seed reproduces every
 //! injected fault exactly.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used)]
 

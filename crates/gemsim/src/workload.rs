@@ -8,7 +8,7 @@
 //! class of the original (compute-bound vs memory-bound, streaming vs
 //! reuse-heavy).
 
-use mss_units::rng::{Rng, Xoshiro256PlusPlus};
+use mss_units::rng::{first_below, Rng, Xoshiro256PlusPlus};
 
 use crate::GemsimError;
 
@@ -251,8 +251,12 @@ impl Kernel {
                 return fail(format!("{name} = {v} outside [0, 1]"));
             }
         }
-        if self.mean_reuse_distance < 1.0 {
-            return fail("mean reuse distance must be >= 1 line".into());
+        // Written so NaN fails too: `NaN < 1.0` is false.
+        if !(self.mean_reuse_distance.is_finite() && self.mean_reuse_distance >= 1.0) {
+            return fail(format!(
+                "mean reuse distance = {} must be a finite number >= 1 line",
+                self.mean_reuse_distance
+            ));
         }
         Ok(())
     }
@@ -263,16 +267,104 @@ impl Kernel {
     }
 }
 
+/// Words in a stream's draw buffer: one whole lane chunk of
+/// [`Xoshiro256PlusPlus::fill_u64`] (32 KiB), so every refill runs on SIMD
+/// lanes where the host has them.
+const DRAWS: usize = Xoshiro256PlusPlus::FILL_LANES * Xoshiro256PlusPlus::FILL_LANE_DRAWS;
+
+/// A stream's xoshiro256++ draws, generated [`DRAWS`] at a time by
+/// [`Xoshiro256PlusPlus::fill_u64`] and handed out in sequence order, so
+/// every [`Rng`] method on it consumes exactly the words the generator
+/// itself would return.
+#[derive(Debug, Clone)]
+struct DrawBuffer {
+    /// The generator, [`DRAWS`] words past the start of `words`.
+    rng: Xoshiro256PlusPlus,
+    words: Box<[u64; DRAWS]>,
+    /// Next unread slot of `words`; `DRAWS` means empty.
+    next: usize,
+}
+
+impl DrawBuffer {
+    fn new(mut rng: Xoshiro256PlusPlus) -> Self {
+        let mut words: Box<[u64; DRAWS]> = vec![0; DRAWS]
+            .into_boxed_slice()
+            .try_into()
+            .expect("the buffer has DRAWS words");
+        // The first fill builds the process's jump table if nothing has
+        // yet: an allocation that belongs in the constructor, not in the
+        // allocation-free `fill` path.
+        rng.fill_u64(&mut words[..]);
+        Self {
+            rng,
+            words,
+            next: 0,
+        }
+    }
+
+    fn refill(&mut self) {
+        self.rng.fill_u64(&mut self.words[..]);
+        self.next = 0;
+    }
+
+    /// Length of the geometric run the next draws make, capped at `cap`:
+    /// `d = min(first k with (draw_k >> 11) < threshold, cap)`, consuming
+    /// `d + 1` draws — exactly the draws of the scalar loop
+    /// `while (next_u64() >> 11) >= threshold && d < cap { d += 1 }`.
+    ///
+    /// The comparison stays on the 53-bit value: `threshold` can be
+    /// 2⁵³ + 1 (`mean_reuse_distance == 1`), which `threshold << 11`
+    /// would overflow.
+    #[inline]
+    fn geometric(&mut self, threshold: u64, cap: usize) -> usize {
+        let mut d = 0;
+        loop {
+            if self.next == DRAWS {
+                self.refill();
+            }
+            let window = &self.words[self.next..DRAWS.min(self.next + cap + 1 - d)];
+            match first_below(window, threshold) {
+                Some(k) => {
+                    self.next += k + 1;
+                    return d + k;
+                }
+                None => {
+                    self.next += window.len();
+                    d += window.len();
+                    if d > cap {
+                        return cap;
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Rng for DrawBuffer {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        if self.next == DRAWS {
+            self.refill();
+        }
+        let word = self.words[self.next];
+        self.next += 1;
+        word
+    }
+}
+
 /// Seeded generator of one thread's memory-access stream.
 ///
 /// The recent-line history is a fixed-size ring buffer: pushing the
 /// 4097th line overwrites the oldest slot in O(1), where the previous
 /// `Vec` representation paid a 4096-element shift (`remove(0)`) on every
 /// single generated access — the dominant cost of the whole simulator.
-/// The draw sequence is bit-identical to the `Vec` version.
+/// Random words come from a buffer filled in bulk by
+/// [`Xoshiro256PlusPlus::fill_u64`], on SIMD lanes where the host has them.
+/// The draw sequence is bit-identical to the `Vec` version drawing from
+/// the generator one word at a time.
 #[derive(Debug, Clone)]
 pub struct AccessStream {
-    rng: Xoshiro256PlusPlus,
+    rng: DrawBuffer,
     /// Ring of the last [`HISTORY`] line numbers; slot `hist_head` is
     /// written next, so the most recent line sits at `hist_head - 1`.
     history: Box<[u64]>,
@@ -327,9 +419,9 @@ impl AccessStream {
     pub fn new(kernel: &Kernel, tid: u32, seed: u64) -> Self {
         let per_thread = (kernel.working_set / kernel.threads as u64).max(4 * LINE);
         Self {
-            rng: Xoshiro256PlusPlus::seed_from_u64(
+            rng: DrawBuffer::new(Xoshiro256PlusPlus::seed_from_u64(
                 seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid as u64 + 1),
-            ),
+            )),
             history: vec![0; HISTORY].into_boxed_slice(),
             hist_len: 0,
             hist_head: 0,
@@ -380,13 +472,12 @@ impl AccessStream {
         let line = if reuse {
             // Geometric stack distance over the recent-history ring; the
             // continue-test is the integer image of `next_f64() > p_geom`
-            // (see [`AccessStream::geom_threshold`]).
-            let mut d = 0u32;
-            while (self.rng.next_u64() >> 11) >= self.geom_threshold && d + 1 < self.hist_len {
-                d += 1;
-            }
+            // (see [`AccessStream::geom_threshold`]), scanned in bulk.
+            let d = self
+                .rng
+                .geometric(self.geom_threshold, self.hist_len as usize - 1);
             // d lines back from the most recent entry (at hist_head - 1).
-            self.history[((self.hist_head.wrapping_sub(1 + d)) & HISTORY_MASK) as usize]
+            self.history[((self.hist_head.wrapping_sub(1 + d as u32)) & HISTORY_MASK) as usize]
         } else if self.coin(self.stream_coin) {
             // Sequential streaming within the working set.
             self.line += 1;
@@ -447,9 +538,11 @@ mod tests {
         let mut k = Kernel::bodytrack();
         k.threads = 0;
         assert!(k.validate().is_err());
-        let mut k = Kernel::bodytrack();
-        k.mean_reuse_distance = 0.0;
-        assert!(k.validate().is_err());
+        for d in [0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut k = Kernel::bodytrack();
+            k.mean_reuse_distance = d;
+            assert!(k.validate().is_err(), "mean_reuse_distance = {d}");
+        }
     }
 
     #[test]

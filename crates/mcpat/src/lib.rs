@@ -14,6 +14,7 @@
 //! report (they come from `mss-nvsim`), so swapping an SRAM L2 for an
 //! STT-MRAM L2 automatically moves the breakdown.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use mss_gemsim::core::CoreKind;

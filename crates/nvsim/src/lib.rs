@@ -34,6 +34,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod buffer;

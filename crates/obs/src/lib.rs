@@ -48,6 +48,7 @@
 //! assert!(report.lines().any(|l| l.contains("flow/characterize")));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod events;

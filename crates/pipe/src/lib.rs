@@ -27,6 +27,7 @@
 //! and any cache temperature. Like the rest of the workspace this crate
 //! has **zero external dependencies**.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cache;

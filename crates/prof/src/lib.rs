@@ -31,6 +31,7 @@
 //! Everything here is hermetic: no dependencies outside the workspace, no
 //! network, deterministic output for deterministic input.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod baseline;

@@ -41,6 +41,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod ac;

@@ -25,6 +25,11 @@
 //! assert!((q_function(3.0) - 1.3499e-3).abs() < 1e-6);
 //! ```
 
+// `unsafe` is allowed in one module only: `rng::lanes`, the SIMD draws.
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod complex;
 pub mod consts;
 pub mod fmt;

@@ -24,6 +24,9 @@
 //! so every crate in the workspace shares seeded, deterministic variation
 //! sampling.
 
+#[allow(unsafe_code)]
+mod lanes;
+
 /// Minimal uniform-sampling interface implemented by the in-tree generators.
 ///
 /// Only [`Rng::next_u64`] is required; everything else has provided
@@ -184,6 +187,47 @@ impl Xoshiro256PlusPlus {
         Self::expand(sm)
     }
 
+    /// Consecutive draws each SIMD lane of [`fill_u64`](Self::fill_u64)
+    /// produces (`B`); a lane chunk is [`Self::FILL_LANES`]` · B` draws.
+    pub const FILL_LANE_DRAWS: usize = lanes::LANE_DRAWS;
+
+    /// SIMD lanes [`fill_u64`](Self::fill_u64) splits a chunk across.
+    pub const FILL_LANES: usize = lanes::LANES;
+
+    /// Writes the next `out.len()` outputs into `out`, in order, and leaves
+    /// the generator where that many [`Rng::next_u64`] calls would.
+    ///
+    /// Exactly the sequential draws on every host. Where
+    /// [`fill_u64_is_vectorized`](Self::fill_u64_is_vectorized), whole
+    /// chunks of `FILL_LANES · FILL_LANE_DRAWS` draws are generated on SIMD
+    /// lanes started at linear jump-ahead offsets; the remainder, and every
+    /// draw on other hosts, comes from the scalar `next_u64` loop.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mss_units::rng::{Rng, Xoshiro256PlusPlus};
+    ///
+    /// let mut bulk = Xoshiro256PlusPlus::seed_from_u64(5);
+    /// let mut one = bulk.clone();
+    /// let mut out = vec![0u64; 20_000];
+    /// bulk.fill_u64(&mut out);
+    /// assert!(out.iter().all(|&v| v == one.next_u64()));
+    /// assert_eq!(bulk, one);
+    /// ```
+    pub fn fill_u64(&mut self, out: &mut [u64]) {
+        let done = lanes::fill(&mut self.s, out);
+        for slot in &mut out[done..] {
+            *slot = self.next_u64();
+        }
+    }
+
+    /// True when this host generates [`fill_u64`](Self::fill_u64)'s whole
+    /// chunks on SIMD lanes (x86-64 with AVX-512F, detected at run time).
+    pub fn fill_u64_is_vectorized() -> bool {
+        lanes::available()
+    }
+
     fn expand(mut sm: SplitMix64) -> Self {
         let mut s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         if s.iter().all(|&w| w == 0) {
@@ -209,6 +253,29 @@ impl Rng for Xoshiro256PlusPlus {
         self.s[3] = self.s[3].rotate_left(45);
         out
     }
+}
+
+/// Index of the first of `draws` whose top 53 bits, `draw >> 11`, fall
+/// below `threshold`; `None` when none does.
+///
+/// This is the first success of a run of Bernoulli trials drawn as raw
+/// [`Rng::next_u64`] words: `next_f64() < p` ⟺ `(draw >> 11) < ⌈p·2⁵³⌉`,
+/// exactly, since the 53-bit value and its 2⁻⁵³ scaling are lossless in
+/// `f64`. The compare stays on the 53-bit value, so any `threshold` up to
+/// `u64::MAX` is valid. Compares on the same SIMD lanes as
+/// [`Xoshiro256PlusPlus::fill_u64`] where the host has them.
+///
+/// # Examples
+///
+/// ```
+/// use mss_units::rng::first_below;
+///
+/// let draws = [u64::MAX, 5 << 11, 1 << 11];
+/// assert_eq!(first_below(&draws, 2), Some(2));
+/// assert_eq!(first_below(&draws, 1), None);
+/// ```
+pub fn first_below(draws: &[u64], threshold: u64) -> Option<usize> {
+    lanes::first_below(draws, threshold)
 }
 
 /// Draws one standard-normal sample via the Box–Muller transform.
